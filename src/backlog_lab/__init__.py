@@ -28,13 +28,11 @@ from .closed_forms import (
     CumulativeValue,
     cumulative_expected_backlog,
     expected_backlog,
-    expected_backlog_asymptote,
 )
 from .distributions import (
     ModelParams,
     erlang_cdf,
     erlang_density,
-    exp_density,
     poisson_term,
 )
 from .errors import AccuracyError, DomainError, ResourceLimitError
@@ -49,7 +47,6 @@ from .identities import (
     table_summand,
 )
 from .laplace import (
-    ImageFunction,
     InversionConfig,
     forward_transform,
     image_backlog_prob,
@@ -80,7 +77,6 @@ __all__ = [
     "DomainError",
     "EqualityReport",
     "EstimateWithError",
-    "ImageFunction",
     "InversionConfig",
     "McConfig",
     "ModelParams",
@@ -99,9 +95,7 @@ __all__ = [
     "default_grid",
     "erlang_cdf",
     "erlang_density",
-    "exp_density",
     "expected_backlog",
-    "expected_backlog_asymptote",
     "forward_transform",
     "image_backlog_prob",
     "image_corollary_form",

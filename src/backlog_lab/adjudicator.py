@@ -23,8 +23,9 @@ from .closed_forms import (
     expected_backlog,
 )
 from .distributions import ModelParams
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, check_int
 from .laplace import (
+    INVERSION_T_MIN,
     InversionConfig,
     image_cumulative_backlog,
     image_expected_backlog,
@@ -43,6 +44,8 @@ __all__ = [
     "pointwise_check",
     "boundary_diagnostic",
     "render_report",
+    "render_rows",
+    "render_record",
 ]
 
 FLAG_GS_SKIPPED = "gs-skipped"
@@ -85,8 +88,7 @@ class SweepGrid:
             if not math.isfinite(lam) or lam <= 0.0:
                 raise DomainError(f"grid demand rate must be positive, got {lam!r}")
         for p in self.productions:
-            if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-                raise DomainError(f"grid production level must be a non-negative integer, got {p!r}")
+            check_int(p, "grid production level", 0)
         for t in self.times:
             if not math.isfinite(t) or t < 0.0:
                 raise DomainError(f"grid time must be non-negative, got {t!r}")
@@ -205,7 +207,7 @@ def adjudicate(
                     point_flags.append(FLAG_ORACLE_FAILURE)
 
                 gs_value: float | None
-                if t >= inversion.t_min:
+                if t >= INVERSION_T_MIN:
                     gs_value = invert_gaver_stehfest(
                         lambda s: image_cumulative_backlog(params, s), t, inversion
                     )
@@ -289,7 +291,7 @@ def pointwise_check(
     closed = expected_backlog(params, t)
     series = backlog_series_oracle(params, t, series_tol)
     flags: tuple[str, ...] = ()
-    if t >= inversion.t_min:
+    if t >= INVERSION_T_MIN:
         gs = invert_gaver_stehfest(
             lambda s: image_expected_backlog(params, s), t, inversion
         )
@@ -351,74 +353,73 @@ def boundary_diagnostic(
     return tuple(offenders)
 
 
-def _fmt(value: float | None) -> str:
-    """17-significant-digit decimal rendering; empty for missing values."""
+def _cell(value: float | int | str | None, json: bool) -> str:
+    if isinstance(value, float):
+        text = format(value, ".17g")
+        return f'"{text}"' if json and not math.isfinite(value) else text
     if value is None:
-        return ""
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
+        return "null" if json else ""
+    if isinstance(value, str):
+        return f'"{value}"' if json else value
+    return str(value)
 
 
-def _json_cell(value: float | None) -> str:
-    if value is None:
-        return "null"
-    if not math.isfinite(value):
-        return f'"{_fmt(value)}"'
-    return _fmt(value)
+def _json_object(columns: tuple[str, ...], row: tuple) -> str:
+    return "{" + ", ".join([f'"{k}": {_cell(v, True)}' for k, v in zip(columns, row)]) + "}"
+
+
+def render_rows(columns: tuple[str, ...], rows, format: str = "csv") -> str:
+    """Serialize rows of cells under the named columns, deterministically.
+
+    CSV is a header line and one line per row; JSON is an array with one
+    object per line.  Floats are written with 17 significant digits, so
+    equal inputs give byte-identical output and every value survives a
+    round trip.  Missing values (None) are empty CSV cells and JSON nulls;
+    non-finite floats are quoted strings in JSON so the document stays
+    parseable.  Strings are tags and flags, written without escaping.
+    """
+    if format == "csv":
+        lines = [",".join(columns)]
+        lines.extend(",".join([_cell(v, False) for v in row]) for row in rows)
+        return "\n".join(lines) + "\n"
+    if format == "json":
+        items = ",\n".join("  " + _json_object(columns, row) for row in rows)
+        return "[\n" + items + ("\n" if items else "") + "]\n"
+    raise DomainError(f"unknown report format {format!r}")
+
+
+def render_record(columns: tuple[str, ...], row: tuple, format: str = "csv") -> str:
+    """One row as render_rows writes it, but a bare JSON object, not an array."""
+    if format == "json":
+        return _json_object(columns, row) + "\n"
+    return render_rows(columns, (row,), format)
 
 
 def render_report(report: ComparisonReport, format: str = "csv") -> str:
-    """Serialize the comparison rows deterministically.
+    """Serialize the comparison rows with render_rows.
 
-    CSV and JSON carry the same columns in the same order; floats are
-    written with 17 significant digits so equal inputs give byte-identical
-    output.  Rows arrive already sorted by (lambda, production, t,
-    candidate order).  Missing values (skipped inversion, failed oracle)
-    are empty CSV cells and JSON nulls; non-finite values are rendered as
-    quoted strings in JSON so the document stays parseable.
+    CSV and JSON carry the same columns in the same order.  Rows arrive
+    already sorted by (lambda, production, t, candidate order).  Missing
+    values are a skipped inversion or a failed oracle.
     """
-    if format == "csv":
-        lines = [",".join(_COLUMNS)]
-        for r in report.rows:
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(r.lam),
-                        str(r.production),
-                        _fmt(r.t),
-                        r.candidate.value,
-                        _fmt(r.candidate_value),
-                        _fmt(r.oracle_value),
-                        _fmt(r.oracle_bound),
-                        _fmt(r.gs_value),
-                        _fmt(r.abs_dev),
-                        _fmt(r.rel_dev),
-                        ";".join(r.flags),
-                    )
-                )
+    return render_rows(
+        _COLUMNS,
+        [
+            (
+                # Grid axes may hold ints; they print as the floats they stand for.
+                float(r.lam),
+                r.production,
+                float(r.t),
+                r.candidate.value,
+                r.candidate_value,
+                r.oracle_value,
+                r.oracle_bound,
+                r.gs_value,
+                r.abs_dev,
+                r.rel_dev,
+                ";".join(r.flags),
             )
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        lines = ["["]
-        for i, r in enumerate(report.rows):
-            cells = (
-                f'"lambda": {_json_cell(r.lam)}',
-                f'"production": {r.production}',
-                f'"t": {_json_cell(r.t)}',
-                f'"candidate": "{r.candidate.value}"',
-                f'"candidate_value": {_json_cell(r.candidate_value)}',
-                f'"oracle_value": {_json_cell(r.oracle_value)}',
-                f'"oracle_bound": {_json_cell(r.oracle_bound)}',
-                f'"gs_value": {_json_cell(r.gs_value)}',
-                f'"abs_dev": {_json_cell(r.abs_dev)}',
-                f'"rel_dev": {_json_cell(r.rel_dev)}',
-                '"flags": "' + ";".join(r.flags) + '"',
-            )
-            comma = "," if i + 1 < len(report.rows) else ""
-            lines.append("  {" + ", ".join(cells) + "}" + comma)
-        lines.append("]")
-        return "\n".join(lines) + "\n"
-    raise DomainError(f"unknown report format {format!r}")
+            for r in report.rows
+        ],
+        format,
+    )

@@ -15,12 +15,18 @@ explicit --seed always wins.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import random
 import sys
 
-from .adjudicator import SweepGrid, adjudicate, default_grid, render_report
+from .adjudicator import (
+    SweepGrid,
+    adjudicate,
+    default_grid,
+    render_record,
+    render_report,
+    render_rows,
+)
 from .closed_forms import CandidateFormula, cumulative_expected_backlog, expected_backlog
 from .distributions import ModelParams
 from .errors import AccuracyError, DomainError
@@ -52,14 +58,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
 
 
 def _u64(text: str) -> int:
@@ -287,53 +285,11 @@ def build_parser() -> _Parser:
 
 def _run_eval(args) -> tuple[int, str, str]:
     params = ModelParams(args.lam, args.production)
-    return 0, _fmt(expected_backlog(params, args.t)) + "\n", ""
+    return 0, f"{expected_backlog(params, args.t):.17g}\n", ""
 
 
-def _cumulative_table(params, times, candidates, fmt) -> str:
-    rows = []
-    for t in times:
-        for candidate in candidates:
-            result = cumulative_expected_backlog(params, t, candidate)
-            rows.append((t, candidate, result))
-    if fmt == "csv":
-        lines = ["lambda,production,t,candidate,value,flags"]
-        for t, candidate, result in rows:
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(params.lam),
-                        str(params.production),
-                        _fmt(t),
-                        candidate.value,
-                        _fmt(result.value),
-                        ";".join(result.warnings),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
-    lines = ["["]
-    for i, (t, candidate, result) in enumerate(rows):
-        comma = "," if i + 1 < len(rows) else ""
-        lines.append(
-            "  {"
-            + ", ".join(
-                (
-                    f'"lambda": {_fmt(params.lam)}',
-                    f'"production": {params.production}',
-                    f'"t": {_fmt(t)}',
-                    f'"candidate": "{candidate.value}"',
-                    f'"value": {_fmt(result.value)}'
-                    if math.isfinite(result.value)
-                    else f'"value": "{_fmt(result.value)}"',
-                    '"flags": "' + ";".join(result.warnings) + '"',
-                )
-            )
-            + "}"
-            + comma
-        )
-    lines.append("]")
-    return "\n".join(lines) + "\n"
+_CUMULATIVE_COLUMNS = ("lambda", "production", "t", "candidate", "value", "flags")
+_SIMULATE_COLUMNS = ("value", "ci99_halfwidth", "n_paths")
 
 
 def _run_cumulative(args) -> tuple[int, str, str]:
@@ -345,8 +301,16 @@ def _run_cumulative(args) -> tuple[int, str, str]:
         err = ""
         if result.warnings:
             err = "warning: " + ";".join(result.warnings) + "\n"
-        return 0, _fmt(result.value) + "\n", err
-    return 0, _cumulative_table(params, times, candidates, args.format), ""
+        return 0, f"{result.value:.17g}\n", err
+    rows = []
+    for t in times:
+        for candidate in candidates:
+            result = cumulative_expected_backlog(params, t, candidate)
+            rows.append(
+                (params.lam, params.production, t, candidate.value, result.value,
+                 ";".join(result.warnings))
+            )
+    return 0, render_rows(_CUMULATIVE_COLUMNS, rows, args.format), ""
 
 
 def _run_invert(args) -> tuple[int, str, str]:
@@ -354,7 +318,7 @@ def _run_invert(args) -> tuple[int, str, str]:
     config = InversionConfig(order=args.gs_order)
     image = image_cumulative_backlog if args.image == "cumulative" else image_expected_backlog
     value = invert_gaver_stehfest(lambda s: image(params, s), args.t, config)
-    return 0, _fmt(value) + "\n", ""
+    return 0, f"{value:.17g}\n", ""
 
 
 def _run_simulate(args) -> tuple[int, str, str]:
@@ -365,25 +329,8 @@ def _run_simulate(args) -> tuple[int, str, str]:
     err = ""
     if est.notes:
         err = "warning: " + ";".join(est.notes) + "\n"
-    if args.format == "csv":
-        out = (
-            "value,ci99_halfwidth,n_paths\n"
-            + ",".join((_fmt(est.value), _fmt(est.abs_error_bound), str(est.n_effective)))
-            + "\n"
-        )
-    else:
-        out = (
-            "{"
-            + ", ".join(
-                (
-                    f'"value": {_fmt(est.value)}',
-                    f'"ci99_halfwidth": {_fmt(est.abs_error_bound)}',
-                    f'"n_paths": {est.n_effective}',
-                )
-            )
-            + "}\n"
-        )
-    return 0, out, err
+    row = (est.value, est.abs_error_bound, est.n_effective)
+    return 0, render_record(_SIMULATE_COLUMNS, row, args.format), err
 
 
 def _run_identities(args) -> tuple[int, str, str]:

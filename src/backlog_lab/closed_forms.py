@@ -9,9 +9,11 @@ against oracles that know nothing about any of them.
 Writing x = lam*t and p_j = e^{-x} x^j / j!, the variants differ in the
 upper limits of three bracketed sums, in the sign of the P(P+1)/(2 lam)
 term, in the sign of the exponential prefactor, and in trailing correction
-terms.  Every bracket is evaluated as a combination of regularized Poisson
-terms with exact integer coefficients; raw powers of x never appear except
-in the one variant whose printed form carries a growing exponential, which
+terms.  Four of them share one three-sum bracket and are rows of one
+table (_BRACKET_ROWS); compact, a single sum, and original are written out
+on their own.  Every bracket is evaluated as a combination of regularized
+Poisson terms with exact integer coefficients; raw powers of x never appear
+except in original, whose printed form carries a growing exponential, which
 is reproduced faithfully (and therefore diverges, as the adjudicator will
 happily report).
 """
@@ -23,13 +25,12 @@ import math
 from dataclasses import dataclass
 
 from .distributions import ModelParams, _poisson_prefix
-from .errors import DomainError
+from .errors import DomainError, check_nonnegative
 
 __all__ = [
     "CandidateFormula",
     "CumulativeValue",
     "expected_backlog",
-    "expected_backlog_asymptote",
     "cumulative_expected_backlog",
 ]
 
@@ -71,20 +72,13 @@ class CumulativeValue:
     warnings: tuple[str, ...] = ()
 
 
-def _validate_time(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be non-negative and finite, got {t!r}")
-    return t
-
-
 def expected_backlog(params: ModelParams, t: float) -> float:
     """Pointwise expected backlog lam*t - P + sum_{i<P} (P-i) p_i(lam*t).
 
     The bracket is the standard loss-function correction, accumulated as a
     single sum of non-negative terms.  With P = 0 this is exactly lam*t.
     """
-    t = _validate_time(t)
+    t = check_nonnegative(t, "time")
     lam, production = params.lam, params.production
     if production == 0:
         return lam * t
@@ -93,28 +87,12 @@ def expected_backlog(params: ModelParams, t: float) -> float:
     return lam * t - production + bracket
 
 
-def expected_backlog_asymptote(params: ModelParams, t: float) -> float:
-    """Large-t linear asymptote lam*t - P of the pointwise expected backlog."""
-    t = _validate_time(t)
-    return params.lam * t - params.production
-
-
 def _poly_plus(lam: float, production: int, t: float) -> float:
     return lam * t * t / 2.0 - production * t + production * (production + 1) / (2.0 * lam)
 
 
 def _poly_minus(lam: float, production: int, t: float) -> float:
     return lam * t * t / 2.0 - production * t - production * (production + 1) / (2.0 * lam)
-
-
-def _bracket_three_sums(production: int, terms: list[float]) -> float:
-    """P(P+1) sum_{j<=P-1} p_j - 2P sum_{j<=P-2} (j+1) p_{j+1}
-    + sum_{j<=P-3} (j+1)(j+2) p_{j+2}, with e^{-x} folded into each term."""
-    p = production
-    s1 = math.fsum(terms[j] for j in range(p))
-    s2 = math.fsum((j + 1) * terms[j + 1] for j in range(p - 1))
-    s3 = math.fsum((j + 1) * (j + 2) * terms[j + 2] for j in range(p - 2))
-    return p * (p + 1) * s1 - 2 * p * s2 + s3
 
 
 def _eval_original(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
@@ -139,55 +117,6 @@ def _eval_original(lam: float, production: int, t: float) -> tuple[float, tuple[
     return value, ()
 
 
-def _eval_original_negexp(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
-    terms = _poisson_prefix(lam * t, production + 1)
-    bracket = _bracket_three_sums(production, terms)
-    return _poly_plus(lam, production, t) - bracket / (2.0 * lam), ()
-
-
-def _eval_wolfram(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
-    p = production
-    terms = _poisson_prefix(lam * t, p + 4)
-    s1 = math.fsum(terms[i] for i in range(p + 2))
-    s2 = math.fsum((i + 1) * terms[i + 1] for i in range(p + 2))
-    s3 = math.fsum((i + 1) * (i + 2) * terms[i + 2] for i in range(p + 2))
-    tail = (p - 1) * (p + 2) * terms[p + 2] - (p + 2) * (p + 3) * terms[p + 3]
-    bracket = p * (p + 1) * s1 - 2 * p * s2 + s3 + tail
-    return _poly_minus(lam, p, t) - bracket / (2.0 * lam), ()
-
-
-def _eval_note(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
-    p = production
-    terms = _poisson_prefix(lam * t, p + 1)
-    bracket = _bracket_three_sums(p, terms)
-    warnings: tuple[str, ...] = ()
-    if p >= 2:
-        # -4P x^{P-1}/(P-2)! with e^{-x} folded in: -4P (P-1) p_{P-1}.
-        bracket += -4 * p * (p - 1) * terms[p - 1]
-    else:
-        # (P-2)! is undefined for P < 2; the term is dropped and flagged.
-        warnings = (UNDEFINED_TERM,)
-    return _poly_minus(lam, p, t) - bracket / (2.0 * lam), warnings
-
-
-def _eval_eq10(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
-    p = production
-    terms = _poisson_prefix(lam * t, max(p, 1))
-    s1 = math.fsum(terms[i] for i in range(p - 1))
-    s2 = math.fsum((i + 1) * terms[i + 1] for i in range(p - 2))
-    s3 = math.fsum((i + 1) * (i + 2) * terms[i + 2] for i in range(p - 3))
-    bracket = p * (p + 1) * s1 - 2 * p * s2 + s3
-    warnings: tuple[str, ...] = ()
-    if p >= 1:
-        # +2 x^{P-1}/(P-1)! with e^{-x} folded in: +2 p_{P-1}.
-        bracket += 2.0 * terms[p - 1]
-    else:
-        # (P-1)! is undefined for P = 0; dropped and flagged, mirroring the
-        # convention used for the note variant.
-        warnings = (UNDEFINED_TERM,)
-    return _poly_minus(lam, p, t) - bracket / (2.0 * lam), warnings
-
-
 def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
     p = production
     terms = _poisson_prefix(lam * t, p)
@@ -195,12 +124,51 @@ def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[s
     return _poly_plus(lam, p, t) - bracket / (2.0 * lam), ()
 
 
-_EVALUATORS = {
+# The four variants built on the three-sum bracket
+#
+#     P(P+1) sum_{j<c1} p_j - 2P sum_{j<c2} (j+1) p_{j+1}
+#         + sum_{j<c3} (j+1)(j+2) p_{j+2}  [+ extra(P, p)]
+#
+# with e^{-x} folded into every term.  Each row holds (c1, c2, c3) as
+# offsets from P, the polynomial part, the extra term, and the smallest P at
+# which that term is defined; below it the term holds the factorial of a
+# negative integer, so it is dropped and the value flagged.
+_BRACKET_ROWS = {
+    CandidateFormula.ORIGINAL_NEGEXP: ((0, -1, -2), _poly_plus, None, 0),
+    CandidateFormula.WOLFRAM: (
+        (2, 2, 2),
+        _poly_minus,
+        lambda p, q: (p - 1) * (p + 2) * q[p + 2] - (p + 2) * (p + 3) * q[p + 3],
+        0,
+    ),
+    # -4P x^{P-1}/(P-2)! is -4P (P-1) p_{P-1}.
+    CandidateFormula.NOTE: (
+        (0, -1, -2), _poly_minus, lambda p, q: -4 * p * (p - 1) * q[p - 1], 2
+    ),
+    # +2 x^{P-1}/(P-1)! is +2 p_{P-1}.
+    CandidateFormula.EQ10: ((-1, -2, -3), _poly_minus, lambda p, q: 2.0 * q[p - 1], 1),
+}
+
+
+def _eval_bracket_row(row: tuple, lam: float, p: int, t: float) -> tuple[float, tuple[str, ...]]:
+    caps, poly, extra, defined_from = row
+    # p_{P+3} is the highest term any row reads.
+    terms = _poisson_prefix(lam * t, p + 4)
+    c1, c2, c3 = (p + cap for cap in caps)
+    s1 = math.fsum(terms[j] for j in range(c1))
+    s2 = math.fsum((j + 1) * terms[j + 1] for j in range(c2))
+    s3 = math.fsum((j + 1) * (j + 2) * terms[j + 2] for j in range(c3))
+    bracket = p * (p + 1) * s1 - 2 * p * s2 + s3
+    warnings: tuple[str, ...] = ()
+    if p < defined_from:
+        warnings = (UNDEFINED_TERM,)
+    elif extra is not None:
+        bracket += extra(p, terms)
+    return poly(lam, p, t) - bracket / (2.0 * lam), warnings
+
+
+_LITERAL_EVALUATORS = {
     CandidateFormula.ORIGINAL: _eval_original,
-    CandidateFormula.ORIGINAL_NEGEXP: _eval_original_negexp,
-    CandidateFormula.WOLFRAM: _eval_wolfram,
-    CandidateFormula.NOTE: _eval_note,
-    CandidateFormula.EQ10: _eval_eq10,
     CandidateFormula.COMPACT: _eval_compact,
 }
 
@@ -215,8 +183,13 @@ def cumulative_expected_backlog(
     of a negative integer at small P return the remaining terms with an
     ``undefined-term`` warning instead of raising.
     """
-    t = _validate_time(t)
+    t = check_nonnegative(t, "time")
     if not isinstance(candidate, CandidateFormula):
         raise DomainError(f"unknown candidate {candidate!r}")
-    value, warnings = _EVALUATORS[candidate](params.lam, params.production, t)
+    lam, production = params.lam, params.production
+    row = _BRACKET_ROWS.get(candidate)
+    if row is None:
+        value, warnings = _LITERAL_EVALUATORS[candidate](lam, production, t)
+    else:
+        value, warnings = _eval_bracket_row(row, lam, production, t)
     return CumulativeValue(value=value, t=t, candidate=candidate, warnings=warnings)

@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import check_int, check_nonnegative, check_positive
 
 __all__ = [
     "ModelParams",
     "poisson_term",
-    "exp_density",
     "erlang_density",
     "erlang_cdf",
 ]
@@ -53,25 +52,9 @@ class ModelParams:
     production: int
 
     def __post_init__(self):
-        lam = float(self.lam)
-        if not math.isfinite(lam) or lam <= 0.0:
-            raise DomainError(f"demand rate must be positive and finite, got {self.lam!r}")
-        if isinstance(self.production, bool) or not isinstance(self.production, int):
-            raise DomainError(f"production level must be an integer, got {self.production!r}")
-        if self.production < 0:
-            raise DomainError(f"production level must be non-negative, got {self.production}")
+        lam = check_positive(self.lam, "demand rate")
+        check_int(self.production, "production level", 0)
         object.__setattr__(self, "lam", lam)
-
-
-def _validate_term_args(lambda_t: float, n: int) -> float:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"term index must be an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"term index must be non-negative, got {n}")
-    x = float(lambda_t)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"lambda*t must be non-negative and finite, got {lambda_t!r}")
-    return x
 
 
 def _log_term(x: float, n: int) -> float:
@@ -89,7 +72,8 @@ def poisson_term(lambda_t: float, n: int) -> float:
     up to 1e4 and n up to 1e5 and the ratio of neighbouring terms is exact
     to rounding.  True values below 1e-320 come back as exactly 0.0.
     """
-    x = _validate_term_args(lambda_t, n)
+    check_int(n, "term index", 0)
+    x = check_nonnegative(lambda_t, "lambda*t")
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
     if x > 0.0 and n > 0 and _log_term(x, n) < _LOG_CUTOFF:
@@ -127,11 +111,9 @@ def _poisson_prefix(lambda_t: float, count: int) -> list[float]:
     floor) at amortized O(1) per term, for callers that need a contiguous
     block of terms.
     """
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise DomainError(f"term count must be a non-negative integer, got {count!r}")
-    if count == 0:
+    if check_int(count, "term count", 0) == 0:
         return []
-    x = _validate_term_args(lambda_t, 0)
+    x = check_nonnegative(lambda_t, "lambda*t")
     if x == 0.0:
         return [1.0] + [0.0] * (count - 1)
     if x <= _ANCHOR_SWITCH:
@@ -148,15 +130,11 @@ def _poisson_prefix(lambda_t: float, count: int) -> list[float]:
     return [poisson_term(x, j) for j in range(count)]
 
 
-def exp_density(lam: float, t: float) -> float:
-    """Exponential interarrival density lam * e^{-lam t} for t >= 0."""
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise DomainError(f"rate must be positive and finite, got {lam!r}")
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be non-negative and finite, got {t!r}")
-    return lam * math.exp(-lam * t)
+def _erlang_args(lam: float, n: int, t: float) -> tuple[float, float]:
+    """Checked (lam, lam*t) for the n-stage Erlang law, n >= 1."""
+    check_int(n, "stage count", 1)
+    lam = check_positive(lam, "rate")
+    return lam, lam * check_nonnegative(t, "time")
 
 
 def erlang_density(lam: float, n: int, t: float) -> float:
@@ -166,17 +144,8 @@ def erlang_density(lam: float, n: int, t: float) -> float:
     is rejected.  Internally this is lam * poisson_term(lam*t, n-1), which
     keeps the evaluation overflow-free for large lam*t.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"stage count must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"stage count must be at least 1, got {n}")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise DomainError(f"rate must be positive and finite, got {lam!r}")
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be non-negative and finite, got {t!r}")
-    return lam * poisson_term(lam * t, n - 1)
+    lam, x = _erlang_args(lam, n, t)
+    return lam * poisson_term(x, n - 1)
 
 
 def erlang_cdf(lam: float, n: int, t: float) -> float:
@@ -185,17 +154,7 @@ def erlang_cdf(lam: float, n: int, t: float) -> float:
     Exact complement of the Poisson partial sum; clamped into [0, 1] against
     last-bit rounding of the summation.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"stage count must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"stage count must be at least 1, got {n}")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise DomainError(f"rate must be positive and finite, got {lam!r}")
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be non-negative and finite, got {t!r}")
-    x = lam * t
+    _, x = _erlang_args(lam, n, t)
     mass = math.fsum(poisson_term(x, j) for j in range(n))
     cdf = 1.0 - mass
     if cdf < 0.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = [
     "EqualityReport",
@@ -59,8 +59,7 @@ def table_summand(values: Sequence[Fraction | int]) -> Summand:
 def power_summand(base: Fraction | int, weight: int = 0) -> Summand:
     """Summand j -> j^weight * base^j (with 0^0 = 1), all exact."""
     base = Fraction(base)
-    if isinstance(weight, bool) or not isinstance(weight, int) or weight < 0:
-        raise DomainError(f"weight exponent must be a non-negative integer, got {weight!r}")
+    check_int(weight, "weight exponent", 0)
 
     def f(j: int) -> Fraction:
         if j < 0:
@@ -82,19 +81,13 @@ def random_table(rng: random.Random, length: int) -> Summand:
     return table_summand(values)
 
 
-def _validate_n(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"upper parameter must be a positive integer, got {n!r}")
-    return n
-
-
 def check_identity_a1(n: int, f: Summand) -> EqualityReport:
     """sum_{i=0}^{n-1} sum_{j=0}^{i} f(j)  ==  sum_{i=0}^{n-1} (n-i) f(i).
 
     The right side is what falls out of swapping the order of summation:
     f(j) is counted once for every i between j and n-1.
     """
-    n = _validate_n(n)
+    n = check_int(n, "upper parameter", 1)
     lhs = sum((sum((f(j) for j in range(i + 1)), Fraction(0)) for i in range(n)), Fraction(0))
     rhs = sum(((n - i) * f(i) for i in range(n)), Fraction(0))
     return EqualityReport("A1", n, lhs, rhs, lhs == rhs)
@@ -106,7 +99,7 @@ def check_identity_a2(n: int, f: Summand) -> EqualityReport:
     Same rearrangement with a strict inner bound; equivalently the A1
     identity evaluated at n-1, which the test bench cross-checks.
     """
-    n = _validate_n(n)
+    n = check_int(n, "upper parameter", 1)
     lhs = sum((sum((f(j) for j in range(i)), Fraction(0)) for i in range(n)), Fraction(0))
     rhs = sum(((n - 1 - i) * f(i) for i in range(n - 1)), Fraction(0))
     return EqualityReport("A2", n, lhs, rhs, lhs == rhs)
@@ -119,7 +112,7 @@ def check_identity_a3(n: int, f: Summand) -> EqualityReport:
     The weight on f(j) is the sum of the is from j+1 through n-1; both
     triangular products are even so the coefficients stay integral.
     """
-    n = _validate_n(n)
+    n = check_int(n, "upper parameter", 1)
     lhs = sum(
         (i * sum((f(j) for j in range(i)), Fraction(0)) for i in range(n)), Fraction(0)
     )
@@ -138,12 +131,9 @@ def check_index_shift(s: int, n: int, p: int, f: Summand) -> EqualityReport:
     the inequality instead of raising, since the convention itself is what
     is under scrutiny.
     """
-    if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-        raise DomainError(f"lower limit must be a non-negative integer, got {s!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < s:
-        raise DomainError(f"upper limit must be an integer >= {s}, got {n!r}")
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"shift must be an integer, got {p!r}")
+    check_int(s, "lower limit", 0)
+    check_int(n, "upper limit", s)
+    check_int(p, "shift")
 
     lhs = sum((f(i) for i in range(s, n + 1)), Fraction(0))
     lower = s + p

@@ -22,12 +22,12 @@ from functools import lru_cache
 from typing import Callable
 
 from .distributions import ModelParams
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, check_int, check_positive
 from .oracles import EstimateWithError
 from .quadrature import adaptive_simpson
 
 __all__ = [
-    "ImageFunction",
+    "INVERSION_T_MIN",
     "InversionConfig",
     "image_backlog_prob",
     "image_expected_backlog",
@@ -40,16 +40,16 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# Inversion refuses times below this: the abscissae k ln2 / t blow up.
+INVERSION_T_MIN = 1e-3
 
-@dataclass(frozen=True)
-class ImageFunction:
-    """A Laplace image: callable on s > 0 plus a short description."""
 
-    fn: Callable[[float], float]
-    description: str = ""
-
-    def __call__(self, s: float) -> float:
-        return self.fn(s)
+def _check_stehfest_order(order: int) -> int:
+    """An even number of Stehfest terms between 4 and 20; beyond 20 the
+    weights overwhelm the 53-bit mantissa."""
+    if isinstance(order, bool) or not isinstance(order, int) or not 4 <= order <= 20 or order % 2:
+        raise DomainError(f"Stehfest order must be even and in [4, 20], got {order!r}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -57,35 +57,16 @@ class InversionConfig:
     """Settings for numerical inversion.
 
     order : even number of Stehfest terms, between 4 and 20.  14 is a good
-        default in double precision; beyond 20 the weights overwhelm the
-        53-bit mantissa and the config is rejected.
-    t_min : times below this are refused (the abscissae k ln2 / t blow up).
+        default in double precision.
     """
 
     method: str = "gaver-stehfest"
     order: int = 14
-    t_min: float = 1e-3
 
     def __post_init__(self):
         if self.method != "gaver-stehfest":
             raise DomainError(f"unknown inversion method {self.method!r}")
-        if (
-            isinstance(self.order, bool)
-            or not isinstance(self.order, int)
-            or self.order < 4
-            or self.order > 20
-            or self.order % 2 != 0
-        ):
-            raise DomainError(f"inversion order must be even and in [4, 20], got {self.order!r}")
-        if not (self.t_min > 0.0) or not math.isfinite(self.t_min):
-            raise DomainError(f"t_min must be positive and finite, got {self.t_min!r}")
-
-
-def _validate_s(s: float) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"transform variable must be positive and finite, got {s!r}")
-    return s
+        _check_stehfest_order(self.order)
 
 
 def image_backlog_prob(params: ModelParams, j: int, s: float) -> float:
@@ -95,9 +76,8 @@ def image_backlog_prob(params: ModelParams, j: int, s: float) -> float:
     stock plus j more, so the time-domain function is the Poisson mass
     at index j + P; its transform is (lam/(lam+s))^{j+P} / (lam+s).
     """
-    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
-        raise DomainError(f"backlog level must be a non-negative integer, got {j!r}")
-    s = _validate_s(s)
+    check_int(j, "backlog level", 0)
+    s = check_positive(s, "transform variable")
     lam = params.lam
     ratio = lam / (lam + s)
     return ratio ** (j + params.production) / (lam + s)
@@ -105,7 +85,7 @@ def image_backlog_prob(params: ModelParams, j: int, s: float) -> float:
 
 def image_expected_backlog(params: ModelParams, s: float) -> float:
     """Image of the pointwise expected backlog: (lam/(lam+s))^P lam / s^2."""
-    s = _validate_s(s)
+    s = check_positive(s, "transform variable")
     lam = params.lam
     return (lam / (lam + s)) ** params.production * lam / (s * s)
 
@@ -125,7 +105,7 @@ def image_corollary_form(params: ModelParams, s: float) -> float:
     place once s is small against lam, which would swamp the identity check
     for no mathematical reason.
     """
-    s = _validate_s(s)
+    s = check_positive(s, "transform variable")
     fhat = params.lam / (params.lam + s)
     one_minus_fhat = s / (params.lam + s)
     return fhat ** (params.production + 1) / (s * one_minus_fhat)
@@ -158,13 +138,11 @@ def forward_transform(
     discarded tail is below abs_tol/2, and the remaining finite integral is
     done adaptively with the other half of the budget.
     """
-    s = _validate_s(s)
-    if not (abs_tol > 0.0) or not math.isfinite(abs_tol):
-        raise DomainError(f"absolute tolerance must be positive, got {abs_tol!r}")
+    s = check_positive(s, "transform variable")
+    abs_tol = check_positive(abs_tol, "absolute tolerance")
     if growth_degree not in (0, 1, 2):
         raise DomainError(f"growth degree must be 0, 1, or 2, got {growth_degree!r}")
-    if not (growth_coeff > 0.0) or not math.isfinite(growth_coeff):
-        raise DomainError(f"growth coefficient must be positive, got {growth_coeff!r}")
+    growth_coeff = check_positive(growth_coeff, "growth coefficient")
 
     big_t = max(1.0, 1.0 / s)
     while _tail_majorant(s, big_t, growth_degree, growth_coeff) > abs_tol / 2.0:
@@ -191,15 +169,7 @@ def forward_transform(
 def _stehfest_weights_exact(order: int) -> tuple[Fraction, ...]:
     """Exact rational Stehfest weights; these satisfy sum zeta_k = 0 and
     sum zeta_k / k = 1 identically, which the test suite asserts."""
-    if (
-        isinstance(order, bool)
-        or not isinstance(order, int)
-        or order < 4
-        or order > 20
-        or order % 2 != 0
-    ):
-        raise DomainError(f"Stehfest order must be even and in [4, 20], got {order!r}")
-    half = order // 2
+    half = _check_stehfest_order(order) // 2
     weights = []
     for k in range(1, order + 1):
         acc = Fraction(0)
@@ -243,8 +213,8 @@ def invert_gaver_stehfest(
     if config is None:
         config = InversionConfig()
     t = float(t)
-    if not math.isfinite(t) or t < config.t_min:
-        raise DomainError(f"inversion time must be >= {config.t_min!r}, got {t!r}")
+    if not math.isfinite(t) or t < INVERSION_T_MIN:
+        raise DomainError(f"inversion time must be >= {INVERSION_T_MIN!r}, got {t!r}")
     weights = stehfest_weights(config.order)
     scale = _LN2 / t
     total = math.fsum(

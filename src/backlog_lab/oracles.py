@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import UNDERFLOW_FLOOR, ModelParams, poisson_term
-from .errors import AccuracyError, DomainError, ResourceLimitError
+from .errors import (
+    AccuracyError,
+    DomainError,
+    ResourceLimitError,
+    check_int,
+    check_nonnegative,
+    check_positive,
+)
 from .quadrature import adaptive_simpson
 
 __all__ = [
@@ -52,20 +59,6 @@ class EstimateWithError:
     notes: tuple[str, ...] = ()
 
 
-def _validate_time(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be non-negative and finite, got {t!r}")
-    return t
-
-
-def _validate_tol(abs_tol: float) -> float:
-    abs_tol = float(abs_tol)
-    if not (abs_tol > 0.0) or not math.isfinite(abs_tol):
-        raise DomainError(f"absolute tolerance must be positive, got {abs_tol!r}")
-    return abs_tol
-
-
 def backlog_series_oracle(params: ModelParams, t: float, abs_tol: float = 1e-12) -> EstimateWithError:
     """Expected backlog by direct summation of sum_{j>=1} j p_{P+j}(lam t).
 
@@ -75,8 +68,8 @@ def backlog_series_oracle(params: ModelParams, t: float, abs_tol: float = 1e-12)
     certifies truncation.  Stops as soon as the certificate drops below
     abs_tol; refuses after ten million terms.
     """
-    t = _validate_time(t)
-    abs_tol = _validate_tol(abs_tol)
+    t = check_nonnegative(t, "time")
+    abs_tol = check_positive(abs_tol, "absolute tolerance")
     x = params.lam * t
     production = params.production
     if x == 0.0:
@@ -133,8 +126,8 @@ def cumulative_quadrature_oracle(
     the other 0.45 abs_tol, leaving slack so the reported bound sits strictly
     below abs_tol.  At t = 0 the integral is exactly zero.
     """
-    t = _validate_time(t)
-    abs_tol = _validate_tol(abs_tol)
+    t = check_nonnegative(t, "time")
+    abs_tol = check_positive(abs_tol, "absolute tolerance")
     if t == 0.0:
         return EstimateWithError(0.0, 0.0, 0)
 
@@ -155,27 +148,14 @@ def cumulative_quadrature_oracle(
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo settings: path count, master seed, optional time cap.
-
-    horizon, when given, is the largest time the estimator will accept; by
-    default the evaluation time itself is the cap.
-    """
+    """Monte Carlo settings: path count and an unsigned 64-bit master seed."""
 
     n_paths: int
     seed: int
-    horizon: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.n_paths, bool) or not isinstance(self.n_paths, int) or self.n_paths < 1:
-            raise DomainError(f"path count must be a positive integer, got {self.n_paths!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if self.horizon is not None and (
-            not math.isfinite(self.horizon) or self.horizon <= 0.0
-        ):
-            raise DomainError(f"horizon must be positive and finite, got {self.horizon!r}")
+        check_int(self.n_paths, "path count", 1)
+        check_int(self.seed, "seed", 0, 2**64 - 1)
 
 
 def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> EstimateWithError:
@@ -190,10 +170,7 @@ def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> E
     how the work is scheduled.  The reported bound is the 99% confidence
     half-width.
     """
-    t = _validate_time(t)
-    cap = config.horizon if config.horizon is not None else t
-    if t > cap:
-        raise DomainError(f"time {t} exceeds the configured horizon {cap}")
+    t = check_nonnegative(t, "time")
     n_paths = config.n_paths
     notes: tuple[str, ...] = ("ci-unreliable",) if n_paths < 100 else ()
     if t == 0.0:
@@ -254,14 +231,9 @@ def nfold_exponential_convolution(lam: float, n: int, t: float, grid_step: float
     endpoint half-weights.  The result converges to the n-stage arrival
     density with error O(grid_step^2).  Grids beyond 1e8 points are refused.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise DomainError(f"rate must be positive and finite, got {lam!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or not 2 <= n <= 8:
-        raise DomainError(f"fold count must be an integer in [2, 8], got {n!r}")
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"time must be positive and finite, got {t!r}")
+    lam = check_positive(lam, "rate")
+    check_int(n, "fold count", 2, 8)
+    t = check_positive(t, "time")
     grid_step = float(grid_step)
     if not (0.0 < grid_step <= t / 100.0):
         raise DomainError(f"grid step must lie in (0, t/100], got {grid_step!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, check_positive
 
 __all__ = ["adaptive_simpson"]
 
@@ -45,8 +45,7 @@ def adaptive_simpson(
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or b < a:
         raise DomainError(f"bad integration interval [{a!r}, {b!r}]")
-    if not (abs_tol > 0.0) or not math.isfinite(abs_tol):
-        raise DomainError(f"absolute tolerance must be positive, got {abs_tol!r}")
+    abs_tol = check_positive(abs_tol, "absolute tolerance")
     if a == b:
         return 0.0, 0.0, 0
 

@@ -147,6 +147,18 @@ class TestSimulate:
         _, out_b, _ = run(capsys, *args, "--seed", "2")
         assert out_a == out_b
 
+    def test_single_path_json_is_parseable(self, capsys):
+        # One path has no sample variance, so the half-width is infinite.
+        code, out, _ = run(
+            capsys, "simulate", "--lambda", "1", "--production", "0", "--t", "1",
+            "--paths", "1", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ci99_halfwidth"] == "inf"
+        assert doc["n_paths"] == 1
+        assert math.isfinite(doc["value"])
+
     def test_tiny_path_count_warns_on_diagnostic_stream(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--lambda", "1", "--production", "2", "--t", "2",

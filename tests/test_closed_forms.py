@@ -17,7 +17,6 @@ from backlog_lab.closed_forms import (
     CumulativeValue,
     cumulative_expected_backlog,
     expected_backlog,
-    expected_backlog_asymptote,
 )
 from backlog_lab.distributions import ModelParams
 from backlog_lab.errors import DomainError
@@ -77,14 +76,11 @@ class TestExpectedBacklog:
 
 
 class TestAsymptote:
-    def test_arithmetic(self):
-        assert expected_backlog_asymptote(ModelParams(1.0, 0), 5.0) == 5.0
-        assert expected_backlog_asymptote(ModelParams(2.0, 3), 10.0) == 17.0
-
     def test_gap_closes_for_large_time(self):
-        # The exponential correction decays with the Poisson tail.
+        # The exponential correction to the line lam*t - P decays with the
+        # Poisson tail.
         params = ModelParams(1.0, 3)
-        gap = expected_backlog(params, 40.0) - expected_backlog_asymptote(params, 40.0)
+        gap = expected_backlog(params, 40.0) - (1.0 * 40.0 - 3)
         assert abs(gap) < 1e-10
 
 

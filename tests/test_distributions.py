@@ -11,7 +11,6 @@ from backlog_lab.distributions import (
     ModelParams,
     erlang_cdf,
     erlang_density,
-    exp_density,
     poisson_term,
 )
 from backlog_lab.errors import DomainError
@@ -124,26 +123,28 @@ class TestPoissonTerm:
 
 
 class TestExpDensity:
+    """The exponential interarrival density is the one-stage Erlang density."""
+
     def test_density_at_origin_equals_rate(self):
-        assert exp_density(1.0, 0.0) == 1.0
-        assert exp_density(2.0, 0.0) == 2.0
+        assert erlang_density(1.0, 1, 0.0) == 1.0
+        assert erlang_density(2.0, 1, 0.0) == 2.0
 
     def test_unit_rate_unit_time(self):
-        assert exp_density(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert erlang_density(1.0, 1, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_rejects_non_positive_rate(self):
         with pytest.raises(DomainError):
-            exp_density(0.0, 1.0)
+            erlang_density(0.0, 1, 1.0)
 
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
-            exp_density(1.0, -0.1)
+            erlang_density(1.0, 1, -0.1)
 
 
 class TestErlangDensity:
     @pytest.mark.parametrize("lam,t", [(0.5, 0.0), (1.0, 0.7), (3.0, 2.0)])
     def test_order_one_reduces_to_exponential(self, lam, t):
-        assert erlang_density(lam, 1, t) == pytest.approx(exp_density(lam, t), rel=1e-15)
+        assert erlang_density(lam, 1, t) == pytest.approx(lam * math.exp(-lam * t), rel=1e-15)
 
     def test_second_order_unit_point(self):
         assert erlang_density(1.0, 2, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)

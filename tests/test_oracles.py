@@ -119,13 +119,13 @@ class TestQuadratureOracle:
 class TestMcConfig:
     def test_valid(self):
         cfg = McConfig(n_paths=1000, seed=7)
-        assert cfg.horizon is None
+        assert (cfg.n_paths, cfg.seed) == (1000, 7)
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_paths=0, seed=1),
         dict(n_paths=100, seed=-1),
         dict(n_paths=100, seed=2**64),
-        dict(n_paths=100, seed=1, horizon=0.0),
+        dict(n_paths=True, seed=1),
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(DomainError):
@@ -182,11 +182,6 @@ class TestMonteCarlo:
     def test_small_sample_flagged(self):
         est = monte_carlo_cumulative(ModelParams(1.0, 2), 2.0, McConfig(n_paths=50, seed=1))
         assert "ci-unreliable" in est.notes
-
-    def test_time_beyond_horizon_rejected(self):
-        cfg = McConfig(n_paths=100, seed=1, horizon=1.0)
-        with pytest.raises(DomainError):
-            monte_carlo_cumulative(ModelParams(1.0, 1), 2.0, cfg)
 
 
 class TestConvolution:
