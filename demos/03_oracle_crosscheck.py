@@ -1,7 +1,9 @@
 # Independent estimates of the backlog curves, none of which shares code
 # with the closed forms they are checking: a truncated series with a
-# certified remainder for the pointwise curve, adaptive quadrature and a
-# seeded Monte Carlo simulation for the cumulative one.
+# certified remainder for the pointwise curve; for the cumulative one, the
+# same kind of series summed once over its integrated terms (the reference
+# the adjudicator uses), adaptive quadrature of the pointwise series, and a
+# seeded Monte Carlo simulation.
 #
 # Also runs the grid-convolution check that the n-fold sum of exponential
 # waits really does have the Erlang density the oracles lean on.
@@ -16,6 +18,7 @@ from backlog_lab.oracles import (
     McConfig,
     backlog_series_oracle,
     cumulative_quadrature_oracle,
+    cumulative_series_oracle,
     monte_carlo_cumulative,
     nfold_exponential_convolution,
 )
@@ -36,6 +39,10 @@ print("Cumulative expected backlog over [0, t], same parameters")
 closed = cumulative_expected_backlog(params, t, CandidateFormula.COMPACT).value
 print(f"  closed form                 {closed:.12f}")
 
+cseries = cumulative_series_oracle(params, t, 1e-10)
+print(f"  cumulative series oracle    {cseries.value:.12f}"
+      f"  (bound {cseries.abs_error_bound:.1e}, {cseries.n_effective} terms)")
+
 quad = cumulative_quadrature_oracle(params, t, 1e-10)
 print(f"  quadrature oracle           {quad.value:.12f}"
       f"  (bound {quad.abs_error_bound:.1e}, {quad.n_effective} evals)")
@@ -45,6 +52,7 @@ print(f"  monte carlo, 200k paths     {mc.value:.12f}"
       f"  (99% half-width {mc.abs_error_bound:.1e})")
 
 print()
+print(f"  series vs closed {abs(cseries.value - closed):.2e}")
 print(f"  quad vs closed   {abs(quad.value - closed):.2e}")
 print(f"  mc   vs closed   {abs(mc.value - closed):.2e}"
       f"   inside CI: {abs(mc.value - closed) <= mc.abs_error_bound}")

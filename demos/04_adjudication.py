@@ -1,15 +1,16 @@
 """Adjudicate the six published cumulative-backlog formulas.
 
 Each candidate is evaluated over the default sweep grid and measured
-against the certified quadrature oracle, with the Gaver-Stehfest route
-along as a second witness.  The verdicts are printed per candidate, the
+against the certified cumulative series oracle, one pass over the Poisson
+terms of the integrated series, with the Gaver-Stehfest route along as a
+second witness.  The verdicts are printed per candidate, the
 worst offenders are shown with numbers, and the zero-time boundary
 diagnostic explains where the failing formulas come from: they differ
 from the true curve by a constant, visible at t=0 where the true value
 has to vanish.
 
-Run time is a few seconds; the oracle integrates every grid point to a
-certified 1e-9.
+Run time is well under a second; the oracle certifies every grid point
+to 1e-9 and in practice sits within rounding of the true value.
 """
 
 from backlog_lab.adjudicator import (

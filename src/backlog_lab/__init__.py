@@ -4,11 +4,12 @@ A make-to-stock system produces P units up front and faces Poisson demand
 with rate lam; the pointwise expected backlog E[(D(t) - P)^+] has a clean
 closed form, but several incompatible expressions circulate for its running
 integral over [0, t].  This package implements every variant literally,
-provides independent oracles (certified series summation, adaptive
-quadrature, Monte Carlo path simulation, grid convolution), closes the
-Laplace-transform loop numerically in both directions, checks the
-underlying summation identities in exact rational arithmetic, and renders
-a deterministic comparison report saying which variants survive.
+provides independent oracles (certified series summation, pointwise and
+cumulative, adaptive quadrature, Monte Carlo path simulation, grid
+convolution), closes the Laplace-transform loop numerically in both
+directions, checks the underlying summation identities in exact rational
+arithmetic, and renders a deterministic comparison report saying which
+variants survive.
 """
 
 from .adjudicator import (
@@ -61,6 +62,7 @@ from .oracles import (
     McConfig,
     backlog_series_oracle,
     cumulative_quadrature_oracle,
+    cumulative_series_oracle,
     monte_carlo_cumulative,
     nfold_exponential_convolution,
 )
@@ -92,6 +94,7 @@ __all__ = [
     "check_index_shift",
     "cumulative_expected_backlog",
     "cumulative_quadrature_oracle",
+    "cumulative_series_oracle",
     "default_grid",
     "erlang_cdf",
     "erlang_density",

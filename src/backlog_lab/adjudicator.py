@@ -1,11 +1,12 @@
 """Sweep the candidate formulas over a parameter grid and pass judgment.
 
-Each grid point gets two independent reference values: the quadrature
-oracle (integration of the defining series, with a reported error bound)
-and Gaver-Stehfest inversion of the cumulative image.  Every candidate is
-evaluated literally at every point and its deviation recorded; a candidate
-Matches only if its largest absolute deviation at the points where it is
-defined stays below match_tol.  A candidate that is wrong somewhere it is
+Each grid point gets two independent reference values: the cumulative
+series oracle (one pass over the Poisson terms of the integrated
+defining series, with a certified error bound) and Gaver-Stehfest
+inversion of the cumulative image.  Every candidate is evaluated
+literally at every point and its deviation recorded; a candidate Matches
+only if its largest absolute deviation at the points where it is defined
+stays below match_tol.  A candidate that is wrong somewhere it is
 defined Fails even if it is also undefined elsewhere; one that agrees
 wherever it is defined but has undefined points is reported as
 Undefined-at-some-points rather than awarded a clean pass.
@@ -31,7 +32,14 @@ from .laplace import (
     image_expected_backlog,
     invert_gaver_stehfest,
 )
-from .oracles import backlog_series_oracle, cumulative_quadrature_oracle
+# cumulative_quadrature_oracle is no longer called here; it stays bound in
+# this module because perfbench/tracer.py wraps it where adjudicate used to
+# look it up.
+from .oracles import (  # noqa: F401
+    backlog_series_oracle,
+    cumulative_quadrature_oracle,
+    cumulative_series_oracle,
+)
 
 __all__ = [
     "SweepGrid",
@@ -168,8 +176,9 @@ def adjudicate(
 ) -> ComparisonReport:
     """Compare every candidate against the oracles on every grid point.
 
-    match_tol must exceed ten times oracle_tol so that oracle noise can
-    never decide a verdict.  Points where the quadrature oracle fails to
+    The oracle column comes from cumulative_series_oracle, certified to
+    oracle_tol.  match_tol must exceed ten times oracle_tol so that oracle
+    noise can never decide a verdict.  Points where the oracle fails to
     certify are flagged and excluded from verdicts; times below the
     inversion floor simply skip the Gaver-Stehfest column.
     """
@@ -200,7 +209,7 @@ def adjudicate(
                 oracle_value: float | None
                 oracle_bound: float | None
                 try:
-                    est = cumulative_quadrature_oracle(params, t, oracle_tol)
+                    est = cumulative_series_oracle(params, t, oracle_tol)
                     oracle_value, oracle_bound = est.value, est.abs_error_bound
                 except AccuracyError:
                     oracle_value = oracle_bound = None

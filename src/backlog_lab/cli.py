@@ -31,6 +31,7 @@ from .closed_forms import CandidateFormula, cumulative_expected_backlog, expecte
 from .distributions import ModelParams
 from .errors import AccuracyError, DomainError
 from .identities import (
+    _check_n,
     check_identity_a1,
     check_identity_a2,
     check_identity_a3,
@@ -208,7 +209,7 @@ def build_parser() -> _Parser:
         "--n-max",
         type=int,
         default=30,
-        help="largest upper parameter n to draw (default: 30)",
+        help="largest upper parameter n to draw, at most 1000 (default: 30)",
     )
     p.add_argument(
         "--trials",
@@ -260,7 +261,7 @@ def build_parser() -> _Parser:
         "--oracle-tol",
         type=float,
         default=1e-9,
-        help="absolute error budget for the quadrature oracle (default: 1e-9)",
+        help="absolute error bound the cumulative series oracle must certify (default: 1e-9)",
     )
     p.add_argument(
         "--gs-order",
@@ -334,8 +335,7 @@ def _run_simulate(args) -> tuple[int, str, str]:
 
 
 def _run_identities(args) -> tuple[int, str, str]:
-    if args.n_max < 1:
-        raise DomainError(f"--n-max must be at least 1, got {args.n_max}")
+    _check_n(args.n_max, "--n-max", 1)
     if args.trials < 1:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
     seed = _resolve_seed(args.seed)

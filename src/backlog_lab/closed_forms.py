@@ -80,11 +80,12 @@ def expected_backlog(params: ModelParams, t: float) -> float:
     """
     t = check_nonnegative(t, "time")
     lam, production = params.lam, params.production
+    x = check_nonnegative(lam * t, "lambda*t")
     if production == 0:
-        return lam * t
-    terms = _poisson_prefix(lam * t, production)
+        return x
+    terms = _poisson_prefix(x, production)
     bracket = math.fsum((production - i) * terms[i] for i in range(production))
-    return lam * t - production + bracket
+    return x - production + bracket
 
 
 def _poly_plus(lam: float, production: int, t: float) -> float:
@@ -187,6 +188,7 @@ def cumulative_expected_backlog(
     if not isinstance(candidate, CandidateFormula):
         raise DomainError(f"unknown candidate {candidate!r}")
     lam, production = params.lam, params.production
+    check_nonnegative(lam * t, "lambda*t")
     row = _BRACKET_ROWS.get(candidate)
     if row is None:
         value, warnings = _LITERAL_EVALUATORS[candidate](lam, production, t)

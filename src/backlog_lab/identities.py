@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DomainError, check_int
+from .errors import DomainError, ResourceLimitError, check_int
 
 __all__ = [
     "EqualityReport",
@@ -30,6 +30,19 @@ __all__ = [
 ]
 
 Summand = Callable[[int], Fraction]
+
+# Largest upper parameter n a check accepts.  The double sums take O(n^2)
+# exact Fraction additions: one A3 check takes about 1.5 s at n = 1000 and
+# 6 s at n = 2000.
+_MAX_N = 1000
+
+
+def _check_n(n: int, what: str, low: int) -> int:
+    """n, if it is an integer in [low, _MAX_N]; ResourceLimitError above it."""
+    check_int(n, what, low)
+    if n > _MAX_N:
+        raise ResourceLimitError(f"{what} {n} exceeds the ceiling of {_MAX_N}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -87,7 +100,7 @@ def check_identity_a1(n: int, f: Summand) -> EqualityReport:
     The right side is what falls out of swapping the order of summation:
     f(j) is counted once for every i between j and n-1.
     """
-    n = check_int(n, "upper parameter", 1)
+    n = _check_n(n, "upper parameter", 1)
     lhs = sum((sum((f(j) for j in range(i + 1)), Fraction(0)) for i in range(n)), Fraction(0))
     rhs = sum(((n - i) * f(i) for i in range(n)), Fraction(0))
     return EqualityReport("A1", n, lhs, rhs, lhs == rhs)
@@ -99,7 +112,7 @@ def check_identity_a2(n: int, f: Summand) -> EqualityReport:
     Same rearrangement with a strict inner bound; equivalently the A1
     identity evaluated at n-1, which the test bench cross-checks.
     """
-    n = check_int(n, "upper parameter", 1)
+    n = _check_n(n, "upper parameter", 1)
     lhs = sum((sum((f(j) for j in range(i)), Fraction(0)) for i in range(n)), Fraction(0))
     rhs = sum(((n - 1 - i) * f(i) for i in range(n - 1)), Fraction(0))
     return EqualityReport("A2", n, lhs, rhs, lhs == rhs)
@@ -112,7 +125,7 @@ def check_identity_a3(n: int, f: Summand) -> EqualityReport:
     The weight on f(j) is the sum of the is from j+1 through n-1; both
     triangular products are even so the coefficients stay integral.
     """
-    n = check_int(n, "upper parameter", 1)
+    n = _check_n(n, "upper parameter", 1)
     lhs = sum(
         (i * sum((f(j) for j in range(i)), Fraction(0)) for i in range(n)), Fraction(0)
     )
@@ -132,7 +145,7 @@ def check_index_shift(s: int, n: int, p: int, f: Summand) -> EqualityReport:
     is under scrutiny.
     """
     check_int(s, "lower limit", 0)
-    check_int(n, "upper limit", s)
+    _check_n(n, "upper limit", s)
     check_int(p, "shift")
 
     lhs = sum((f(i) for i in range(s, n + 1)), Fraction(0))

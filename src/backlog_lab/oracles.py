@@ -2,12 +2,14 @@
 
 None of these routines know anything about the closed-form candidates:
 the series oracle sums the defining expectation term by term with a
-certified geometric tail bound, the quadrature oracle integrates the
-series oracle in time, the Monte Carlo estimator simulates Poisson paths
-and integrates the backlog trajectory exactly, and the convolution
-routine builds the Erlang density from repeated trapezoidal convolution
-of the exponential density.  Agreement between any candidate and these
-routes is therefore evidence, not circularity.
+certified geometric tail bound, the cumulative series oracle sums the
+time integral of that expectation in one pass over the same Poisson
+terms, the quadrature oracle integrates the series oracle in time, the
+Monte Carlo estimator simulates Poisson paths and integrates the backlog
+trajectory exactly, and the convolution routine builds the Erlang
+density from repeated trapezoidal convolution of the exponential
+density.  Agreement between any candidate and these routes is therefore
+evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import UNDERFLOW_FLOOR, ModelParams, poisson_term
+from .distributions import (
+    _ANCHOR_SWITCH,
+    UNDERFLOW_FLOOR,
+    ModelParams,
+    _log_term,
+    poisson_term,
+)
 from .errors import (
     AccuracyError,
     DomainError,
@@ -32,12 +40,18 @@ __all__ = [
     "EstimateWithError",
     "McConfig",
     "backlog_series_oracle",
+    "cumulative_series_oracle",
     "cumulative_quadrature_oracle",
     "monte_carlo_cumulative",
     "nfold_exponential_convolution",
 ]
 
 _MAX_SERIES_TERMS = 10_000_000
+
+_EPS = 2.220446049250313e-16
+_UNIT_ROUNDOFF = 0.5 * _EPS
+# Smallest positive normal double; below it a term loses relative precision.
+_SMALLEST_NORMAL = 2.2250738585072014e-308
 
 # Half-width multiplier for a two-sided 99% normal confidence interval.
 _Z99 = 2.5758293035489004
@@ -103,7 +117,7 @@ def backlog_series_oracle(params: ModelParams, t: float, abs_tol: float = 1e-12)
             bound = skipped + (x * p / (1.0 - ratio) if p > 0.0 else 0.0)
             if bound <= abs_tol:
                 value = total + comp
-                rounding = 4.0 * 2.220446049250313e-16 * abs(value)
+                rounding = 4.0 * _EPS * abs(value)
                 return EstimateWithError(value, bound + rounding, count)
         if count >= _MAX_SERIES_TERMS:
             raise AccuracyError(
@@ -114,6 +128,126 @@ def backlog_series_oracle(params: ModelParams, t: float, abs_tol: float = 1e-12)
         p *= x / n
         if p < UNDERFLOW_FLOOR:
             p = 0.0
+
+
+def _weighted_tail(i: int, rho: float) -> float:
+    """sum_{j>=0} (i+j)(i+j-1) rho^j, in closed form, for 0 <= rho < 1."""
+    d = 1.0 - rho
+    return i * (i - 1) / d + 2.0 * i * rho / (d * d) + 2.0 * rho * rho / (d * d * d)
+
+
+def cumulative_series_oracle(
+    params: ModelParams, t: float, abs_tol: float = 1e-9
+) -> EstimateWithError:
+    """Cumulative expected backlog in one pass over the Poisson terms.
+
+    Integrating the pointwise series term by term, with
+    int_0^t p_m(lam u) du = P(N(t) >= m+1) / lam, gives
+
+        C(t) = (1 / 2 lam) sum_{k >= P+2} (k-P)(k-P-1) p_k(x),    x = lam t,
+
+    with x as formed in floating point, as every candidate forms it.  The
+    terms ride the one-step recurrence: from p_0 = e^{-x} up to the 700
+    switch, and beyond it from the modal term (through lgamma) both down to
+    P+2 and up, after Fox and Glynn (1988), "Computing Poisson
+    probabilities", CACM 31(4).  No term is skipped.  They are summed with
+    Neumaier compensation.
+
+    The bound is a certificate.  Past the mode, p_j <= p_k rho^{j-k} for
+    j >= k with rho = x/(k+1), so the weighted tail from k on is at most
+    p_k sum_j (k-P+j)(k-P+j-1) rho^j, summed in closed form.  Below the
+    mode, the summand ratio ((k-P-2)/(k-P)) k/x on the way down is below 1
+    and falls with k: a geometric majorant for the terms left below.  To
+    both the bound adds an a-priori rounding charge (2K + 8) eps sum, for
+    terms at most K recurrence steps from the anchor, and above the switch
+    the error of the lgamma anchor.  Each walk stops only when its tail is
+    below the unit roundoff times the running sum, far inside that charge,
+    so the value is accurate to rounding whatever abs_tol is; abs_tol only
+    gates certification.  Raises AccuracyError when the bound exceeds
+    abs_tol or the walk passes _MAX_SERIES_TERMS terms.
+    """
+    t = check_nonnegative(t, "time")
+    abs_tol = check_positive(abs_tol, "absolute tolerance")
+    lam, production = params.lam, params.production
+    x = check_nonnegative(lam * t, "lambda*t")
+    if x == 0.0:
+        return EstimateWithError(0.0, 0.0, 0)
+
+    if x <= _ANCHOR_SWITCH:
+        anchor, p_anchor, anchor_err = 0, math.exp(-x), 0.0
+    else:
+        anchor = int(x)
+        # ln p = m ln x - x - lgamma(m+1) cancels terms of up to this size
+        # (lgamma(m+1) <= m ln x); each is good to a few ulps of itself, 2.4
+        # at worst against mpmath up to lambda*t = 1e7.
+        anchor_err = 4.0 * _EPS * (2.0 * anchor * math.log(x) + x)
+        if not anchor_err < 1.0:
+            # Near lambda*t = 2e13 the anchor has no correct digit left.
+            raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
+        p_anchor = math.exp(_log_term(x, anchor))
+    first = production + 2  # lowest index with a non-zero weight
+
+    total = 0.0
+    comp = 0.0  # Neumaier compensation
+    count = 0
+
+    def add(term: float) -> None:
+        nonlocal total, comp, count
+        fresh = total + term
+        if abs(total) >= abs(term):
+            comp += (total - fresh) + term
+        else:
+            comp += (term - fresh) + total
+        total = fresh
+        count += 1
+        if count >= _MAX_SERIES_TERMS:
+            raise AccuracyError(
+                f"cumulative series did not converge within {_MAX_SERIES_TERMS} terms",
+                best_estimate=(total + comp) / (2.0 * lam),
+            )
+
+    # Up from the anchor; terms below P+2 only carry the recurrence.
+    k, p = anchor, p_anchor
+    while True:
+        i = k - production
+        rho = x / (k + 1)
+        if rho < 1.0:
+            if p < _SMALLEST_NORMAL:
+                # Every later term is smaller still; charge them at the
+                # smallest normal, twice over for the rounding into it.
+                up_tail = 2.0 * _SMALLEST_NORMAL * _weighted_tail(max(i, 2), rho)
+                break
+            up_tail = p * _weighted_tail(max(i, 2), rho)
+            if up_tail <= _UNIT_ROUNDOFF * total:
+                break
+        add(i * (i - 1) * p if i > 0 else 0.0)
+        k += 1
+        p *= x / k
+    reach = k - anchor
+
+    # Down from the anchor, when it sits above P+2.
+    down_tail = 0.0
+    k, p = anchor, p_anchor
+    while k > first:
+        i = k - production
+        s = (i - 2) / i * k / x
+        tail = i * (i - 1) * p * s / (1.0 - s)
+        if tail <= _UNIT_ROUNDOFF * total:
+            down_tail = tail
+            break
+        p *= k / x
+        k -= 1
+        add((k - production) * (k - production - 1) * p)
+    reach = max(reach, anchor - k)
+
+    value = total + comp
+    bound = (up_tail + down_tail + (2 * reach + 8) * _EPS * value + anchor_err * value) / (2.0 * lam)
+    value /= 2.0 * lam
+    if not bound <= abs_tol:
+        raise AccuracyError(
+            f"cumulative series bound {bound:.3g} exceeds {abs_tol:g}", best_estimate=value
+        )
+    return EstimateWithError(value, bound, count)
 
 
 def cumulative_quadrature_oracle(

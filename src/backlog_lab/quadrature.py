@@ -18,6 +18,9 @@ from .errors import AccuracyError, DomainError, check_positive
 __all__ = ["adaptive_simpson"]
 
 _MAX_DEPTH = 48
+# Integrand evaluations one call may make; the tier-1 suite's largest call
+# makes 5,361.
+_MAX_EVALS = 20_000
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -39,7 +42,8 @@ def adaptive_simpson(
     known features such as a narrow density bump.  Returns
     (value, error_estimate, n_evaluations).  Raises AccuracyError, carrying
     the best estimate, if some panel still fails the acceptance criterion
-    at the maximum bisection depth.
+    at the maximum bisection depth, or if the panels would take more than
+    _MAX_EVALS evaluations of f.
     """
     a = float(a)
     b = float(b)
@@ -77,6 +81,11 @@ def adaptive_simpson(
 
     while stack:
         lo, flo, mid, fmid, hi, fhi, s0, tol, depth = stack.pop()
+        if n_evals + 2 > _MAX_EVALS:
+            raise AccuracyError(
+                f"quadrature did not converge to {abs_tol:g} within {_MAX_EVALS} evaluations",
+                best_estimate=total + s0 + sum(entry[6] for entry in stack),
+            )
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
         flmid = eval_f(lmid)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -34,6 +35,14 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert "domain error" in err
+
+    def test_overflowing_demand_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--lambda", "1e300", "--production", "0", "--t", "1e300"
+        )
+        assert code == 1
+        assert out == ""
+        assert "lambda*t" in err
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "--lambda", "1", "--t", "1")
@@ -185,6 +194,16 @@ class TestIdentities:
         )
         assert code == 0
         assert "all passed" in out
+
+    def test_n_max_above_the_ceiling_is_refused_at_once(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "identities", "--family", "A1", "--n-max", "1000000", "--trials", "1",
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert "ceiling of 1000" in err
 
 
 class TestAdjudicate:

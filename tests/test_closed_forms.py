@@ -48,6 +48,12 @@ class TestExpectedBacklog:
         with pytest.raises(DomainError):
             expected_backlog(ModelParams(1.0, 1), -0.5)
 
+    @pytest.mark.parametrize("production", [0, 1])
+    def test_rejects_overflowing_demand(self, production):
+        # lam * t overflows to inf; P = 0 used to return it.
+        with pytest.raises(DomainError):
+            expected_backlog(ModelParams(1e200, production), 1e200)
+
     @given(
         lam=st.sampled_from(GRID_LAMBDAS),
         production=st.integers(min_value=0, max_value=10),
@@ -98,6 +104,12 @@ class TestCandidateSet:
     def test_unknown_candidate_rejected(self):
         with pytest.raises(DomainError):
             cumulative_expected_backlog(ModelParams(1.0, 1), 1.0, "compact")
+
+    @pytest.mark.parametrize("candidate", ALL)
+    def test_overflowing_demand_rejected_at_zero_stock(self, candidate):
+        # original and compact used to return inf here.
+        with pytest.raises(DomainError):
+            cumulative_expected_backlog(ModelParams(1e200, 0), 1e200, candidate)
 
 
 class TestCumulativeCandidates:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backlog_lab.errors import DomainError
+from backlog_lab.errors import DomainError, ResourceLimitError
 from backlog_lab.identities import (
+    _MAX_N,
     EqualityReport,
     check_identity_a1,
     check_identity_a2,
@@ -194,3 +195,21 @@ class TestIndexShift:
         r = check_index_shift(0, 1, 0, power_summand(1))
         assert isinstance(r, EqualityReport)
         assert r.family == "shift"
+
+
+def _never_called(j):
+    raise AssertionError("the summand was evaluated")
+
+
+class TestCeiling:
+    @pytest.mark.parametrize("check", [check_identity_a1, check_identity_a2, check_identity_a3])
+    def test_rearrangements_refuse_above_the_ceiling_before_any_work(self, check):
+        with pytest.raises(ResourceLimitError, match=f"ceiling of {_MAX_N}"):
+            check(_MAX_N + 1, _never_called)
+
+    def test_index_shift_refuses_above_the_ceiling_before_any_work(self):
+        with pytest.raises(ResourceLimitError):
+            check_index_shift(0, _MAX_N + 1, 0, _never_called)
+
+    def test_ceiling_itself_is_accepted(self):
+        assert check_index_shift(_MAX_N - 1, _MAX_N, 0, power_summand(1)).equal

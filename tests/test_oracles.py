@@ -1,10 +1,14 @@
 """Series, quadrature, Monte Carlo, and convolution ground-truth engines."""
 
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
 import backlog_lab.oracles
+from backlog_lab.adjudicator import default_grid
 from backlog_lab.closed_forms import CandidateFormula, cumulative_expected_backlog, expected_backlog
 from backlog_lab.distributions import ModelParams, erlang_density
 from backlog_lab.errors import AccuracyError, DomainError, ResourceLimitError
@@ -13,9 +17,15 @@ from backlog_lab.oracles import (
     McConfig,
     backlog_series_oracle,
     cumulative_quadrature_oracle,
+    cumulative_series_oracle,
     monte_carlo_cumulative,
     nfold_exponential_convolution,
 )
+
+# The benchmark's mpmath references (50 digits), which import nothing
+# from backlog_lab.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import references  # noqa: E402
 
 
 class TestSeriesOracle:
@@ -66,6 +76,75 @@ class TestSeriesOracle:
             backlog_series_oracle(ModelParams(2.0, 3), 5.0, 1e-12)
 
 
+class TestCumulativeSeriesOracle:
+    def test_zero_time_is_exact(self):
+        est = cumulative_series_oracle(ModelParams(1.0, 3), 0.0)
+        assert est == EstimateWithError(value=0.0, abs_error_bound=0.0, n_effective=0)
+
+    def test_unit_point_against_antiderivative(self):
+        est = cumulative_series_oracle(ModelParams(1.0, 1), 1.0)
+        assert abs(est.value - (0.5 - 1.0 + 1.0 - math.exp(-1.0))) <= est.abs_error_bound
+
+    def test_log_uniform_sweep_within_bound_of_mpmath(self):
+        """lam t log-uniform over [1e-3, 1e4], across the 700 anchor switch,
+        with P at 0, 1, x/2, x and 2x.  The reference is the 50-digit value
+        rounded to a double, so half an ulp of it is allowed on top."""
+        rng = random.Random(20231)
+        for lam in (0.3, 1.0, 7.0):
+            for _ in range(40):
+                x = 10.0 ** rng.uniform(-3.0, 4.0)
+                t = x / lam
+                for production in sorted({0, 1, int(x / 2), int(x), int(2 * x)}):
+                    est = cumulative_series_oracle(ModelParams(lam, production), t, 1e300)
+                    truth = references.cumulative_backlog(lam, production, t)
+                    err = abs(est.value - truth)
+                    assert err <= est.abs_error_bound + 0.5 * math.ulp(truth), (
+                        lam, production, t, est, truth
+                    )
+
+    def test_accurate_to_rounding_on_default_grid(self):
+        # Values reach about 100 there, whose ulp is 1.4e-14.
+        grid = default_grid()
+        for lam in grid.lambdas:
+            for production in grid.productions:
+                for t in grid.times:
+                    est = cumulative_series_oracle(ModelParams(lam, production), t)
+                    truth = references.cumulative_backlog(lam, production, t)
+                    assert est.abs_error_bound < 1e-11
+                    assert abs(est.value - truth) <= 1e-13
+
+    def test_agrees_with_quadrature_oracle_on_default_grid(self):
+        grid = default_grid()
+        for lam in grid.lambdas:
+            for production in grid.productions:
+                params = ModelParams(lam, production)
+                for t in grid.times:
+                    series = cumulative_series_oracle(params, t)
+                    quad = cumulative_quadrature_oracle(params, t)
+                    gap = abs(series.value - quad.value)
+                    assert gap <= series.abs_error_bound + quad.abs_error_bound
+
+    def test_uncertifiable_tolerance_raises_accuracy_error(self):
+        # At lam t = 1e4 the lgamma anchor alone costs about 1e-10 relative.
+        with pytest.raises(AccuracyError) as info:
+            cumulative_series_oracle(ModelParams(1.0, 0), 1e4, 1e-9)
+        assert info.value.best_estimate == pytest.approx(5e7, rel=1e-9)
+
+    def test_term_cap_raises_accuracy_error(self, monkeypatch):
+        monkeypatch.setattr(backlog_lab.oracles, "_MAX_SERIES_TERMS", 3)
+        with pytest.raises(AccuracyError):
+            cumulative_series_oracle(ModelParams(2.0, 3), 5.0)
+
+    @pytest.mark.parametrize("t", [1e14, 1e300])
+    def test_anchor_without_a_correct_digit_is_refused(self, t):
+        with pytest.raises(AccuracyError, match="no correct digit"):
+            cumulative_series_oracle(ModelParams(1.0, 0), t, 1e300)
+
+    def test_non_finite_demand_is_domain_error(self):
+        with pytest.raises(DomainError):
+            cumulative_series_oracle(ModelParams(1e200, 0), 1e200)
+
+
 class TestQuadratureOracle:
     def test_zero_time_is_exact(self):
         est = cumulative_quadrature_oracle(ModelParams(1.0, 3), 0.0, 1e-9)
@@ -114,6 +193,14 @@ class TestQuadratureOracle:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             cumulative_quadrature_oracle(ModelParams(1.0, 1), -1.0, 1e-9)
+
+    def test_garbage_integrand_exhausts_the_evaluation_budget(self):
+        # Past lam t = 700 at small P the series oracle returns about half
+        # the true value, so the integrand never settles; the quadrature
+        # stops at its evaluation budget instead of running on.
+        with pytest.raises(AccuracyError) as info:
+            cumulative_quadrature_oracle(ModelParams(100.0, 50), 10.0)
+        assert info.value.best_estimate is not None
 
 
 class TestMcConfig:

@@ -9,6 +9,13 @@ from backlog_lab.quadrature import adaptive_simpson
 
 
 class TestAdaptiveSimpson:
+    def test_evaluation_budget_raises_with_best_estimate(self):
+        # A million oscillations over [0, 1] need far more panels than the
+        # budget allows at this tolerance.
+        with pytest.raises(AccuracyError, match="20000 evaluations") as info:
+            adaptive_simpson(lambda x: math.sin(1e6 * x), 0.0, 1.0, 1e-12)
+        assert info.value.best_estimate is not None
+
     def test_exact_for_cubics(self):
         value, bound, n_evals = adaptive_simpson(lambda x: x**3, 0.0, 1.0, 1e-12)
         assert value == pytest.approx(0.25, abs=1e-15)
