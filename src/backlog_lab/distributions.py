@@ -7,9 +7,12 @@ factorials appear nowhere: terms are generated by the one-step recurrence
     p_0 = e^{-x},    p_n = p_{n-1} * x / n,
 
 anchored at n = 0 when e^{-x} is representable and at the modal index
-otherwise.  Keeping every term for a given x on a single recurrence path
-makes neighbouring terms consistent to machine precision, which the rest
-of the package relies on.
+otherwise.  One kernel, _poisson_window, walks each block of terms out of
+that anchor once, after finding where the block meets the cutoff window;
+poisson_term is a block of one.  Every term is the same product, formed
+in the same order, whichever block it is computed in, so neighbouring
+terms are consistent to machine precision, which the rest of the package
+relies on.
 """
 
 from __future__ import annotations
@@ -64,6 +67,106 @@ def _log_term(x: float, n: int) -> float:
     return n * math.log(x) - x - math.lgamma(n + 1)
 
 
+def _window_edge(x: float, inside: int, outside: int) -> int:
+    """The index nearest `outside` whose log term clears the cutoff.
+
+    `inside` clears it and `outside` does not; since _log_term is concave
+    in n, bisection finds the crossing between them.
+    """
+    while abs(outside - inside) > 1:
+        mid = (inside + outside) // 2
+        if _log_term(x, mid) < _LOG_CUTOFF:
+            outside = mid
+        else:
+            inside = mid
+    return inside
+
+
+def _walk_up(x: float, k: int, p: float, lo: int, hi: int) -> list[float]:
+    """p_lo, p_{lo+1}, .., p_{hi-1} from p = p_k, k <= lo, by p_n = p_{n-1} * x / n.
+
+    Ends before the first term below the floor: that term and every one
+    after it are 0.0 and left out.  A list, not a generator like
+    _descend: below the switch every block comes this way, and the
+    generator cost a fifth of a microsecond more per block.
+    """
+    for n in range(k + 1, lo + 1):
+        p *= x / n
+        if p < UNDERFLOW_FLOOR:
+            return []
+    terms = [p]
+    for n in range(lo + 1, hi):
+        p *= x / n
+        if p < UNDERFLOW_FLOOR:
+            break
+        terms.append(p)
+    return terms
+
+
+def _descend(x: float, k: int, p: float, hi: int, lo: int):
+    """p_{hi-1}, p_{hi-2}, .., p_lo from p = p_k, hi <= k + 1, by p_{n-1} = p_n * n / x.
+
+    Nothing when hi <= lo.  Ends before the first term below the floor,
+    like _walk_up.  Lazy, so that a caller summing downwards may stop early.
+    """
+    if hi <= lo:
+        return
+    for n in range(k, hi - 1, -1):
+        p *= n / x
+        if p < UNDERFLOW_FLOOR:
+            return
+    yield p
+    for n in range(hi - 1, lo, -1):
+        p *= n / x
+        if p < UNDERFLOW_FLOOR:
+            return
+        yield p
+
+
+def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
+    """The terms p_lo .. p_{hi-1} at x = lambda*t >= 0, lo < hi, in one walk.
+
+    Returns (first, terms): p_n is terms[n - first] where that index exists
+    and 0.0 elsewhere in [lo, hi).  The walk starts from the anchor, p_0 =
+    e^{-x} up to the switch and the modal term above it, and forms the same
+    products in the same order as a walk from the anchor to each index on
+    its own, so every term keeps its bits.  Above the switch the ends of
+    the cutoff window {n : _log_term(x, n) >= _LOG_CUTOFF} that fall inside
+    [lo, hi) are found first, by bisection, after Fox and Glynn (1988),
+    "Computing Poisson probabilities", CACM 31(4): indices outside it are
+    0.0 without a walk.
+    """
+    if x == 0.0:
+        return (0, [1.0]) if lo == 0 else (lo, [])
+    if x <= _ANCHOR_SWITCH:
+        # Below the mode every term is at least e^{-700}, so only an index
+        # above it can fall under the cutoff.
+        if lo > 0 and _log_term(x, lo) < _LOG_CUTOFF:
+            return lo, []
+        return lo, _walk_up(x, 0, math.exp(-x), lo, hi)
+
+    anchor = int(x)
+    first, last = lo, hi - 1
+    if first < anchor and _log_term(x, first) < _LOG_CUTOFF:
+        inner = min(last, anchor)
+        if inner == first or _log_term(x, inner) < _LOG_CUTOFF:
+            return lo, []
+        first = _window_edge(x, inner, first)
+    if last > anchor and _log_term(x, last) < _LOG_CUTOFF:
+        inner = max(first, anchor)
+        if inner == last or _log_term(x, inner) < _LOG_CUTOFF:
+            return lo, []
+        last = _window_edge(x, inner, last)
+    p = math.exp(_log_term(x, anchor))
+    if first >= anchor:
+        return first, _walk_up(x, anchor, p, first, last + 1)
+    below = list(_descend(x, anchor, p, min(last + 1, anchor), first))
+    below.reverse()
+    if last < anchor:
+        return last + 1 - len(below), below
+    return anchor - len(below), below + _walk_up(x, anchor, p, anchor, last + 1)
+
+
 def poisson_term(lambda_t: float, n: int) -> float:
     """Regularized Poisson probability e^{-x} x^n / n! at x = lambda_t.
 
@@ -74,60 +177,26 @@ def poisson_term(lambda_t: float, n: int) -> float:
     """
     check_int(n, "term index", 0)
     x = check_nonnegative(lambda_t, "lambda*t")
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x > 0.0 and n > 0 and _log_term(x, n) < _LOG_CUTOFF:
-        return 0.0
-
-    if x <= _ANCHOR_SWITCH:
-        # e^{-x} is representable: walk up from n = 0.
-        p = math.exp(-x)
-        for k in range(1, n + 1):
-            p *= x / k
-            if p < UNDERFLOW_FLOOR:
-                return 0.0
-        return p
-
-    # Anchor at the modal index, where the term is largest, and walk to n.
-    mode = int(x)
-    p = math.exp(_log_term(x, mode))
-    if n >= mode:
-        for k in range(mode + 1, n + 1):
-            p *= x / k
-            if p < UNDERFLOW_FLOOR:
-                return 0.0
-    else:
-        for k in range(mode, n, -1):
-            p *= k / x
-            if p < UNDERFLOW_FLOOR:
-                return 0.0
-    return p
+    _, terms = _poisson_window(x, n, n + 1)
+    return terms[0] if terms else 0.0
 
 
 def _poisson_prefix(lambda_t: float, count: int) -> list[float]:
-    """First `count` regularized terms p_0 .. p_{count-1}, one recurrence pass.
+    """First `count` regularized terms p_0 .. p_{count-1}, from one walk.
 
-    Matches poisson_term value-for-value (same anchoring, same underflow
-    floor) at amortized O(1) per term, for callers that need a contiguous
-    block of terms.
+    Matches poisson_term bit for bit (same anchoring, same underflow
+    floor), for callers that need a contiguous block of terms.  The walk
+    takes one step per index from the anchor to the ends of the block's
+    non-zero part, so O(count) below the switch; above it, indices past
+    the cutoff cost nothing.
     """
     if check_int(count, "term count", 0) == 0:
         return []
     x = check_nonnegative(lambda_t, "lambda*t")
-    if x == 0.0:
-        return [1.0] + [0.0] * (count - 1)
-    if x <= _ANCHOR_SWITCH:
-        p = math.exp(-x)
-        out = [p]
-        for k in range(1, count):
-            if p != 0.0:
-                p *= x / k
-                if p < UNDERFLOW_FLOOR:
-                    p = 0.0
-            out.append(p)
-        return out
-    # Large x: reproduce the modal anchoring of poisson_term for each index.
-    return [poisson_term(x, j) for j in range(count)]
+    first, terms = _poisson_window(x, 0, count)
+    if first or len(terms) < count:
+        terms = [0.0] * first + terms + [0.0] * (count - first - len(terms))
+    return terms
 
 
 def _erlang_args(lam: float, n: int, t: float) -> tuple[float, float]:
@@ -151,11 +220,12 @@ def erlang_density(lam: float, n: int, t: float) -> float:
 def erlang_cdf(lam: float, n: int, t: float) -> float:
     """P(n-th arrival <= t) = 1 - sum_{j=0}^{n-1} e^{-lam t}(lam t)^j / j!.
 
-    Exact complement of the Poisson partial sum; clamped into [0, 1] against
-    last-bit rounding of the summation.
+    Complement of the Poisson partial sum, which is the correctly rounded
+    sum (fsum) of the terms p_0 .. p_{n-1} from one window walk; clamped
+    into [0, 1] against last-bit rounding of the summation.
     """
     _, x = _erlang_args(lam, n, t)
-    mass = math.fsum(poisson_term(x, j) for j in range(n))
+    mass = math.fsum(_poisson_window(x, 0, n)[1])
     cdf = 1.0 - mass
     if cdf < 0.0:
         return 0.0

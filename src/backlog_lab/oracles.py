@@ -23,6 +23,7 @@ from .distributions import (
     _ANCHOR_SWITCH,
     UNDERFLOW_FLOOR,
     ModelParams,
+    _descend,
     _log_term,
     poisson_term,
 )
@@ -76,11 +77,27 @@ class EstimateWithError:
 def backlog_series_oracle(params: ModelParams, t: float, abs_tol: float = 1e-12) -> EstimateWithError:
     """Expected backlog by direct summation of sum_{j>=1} j p_{P+j}(lam t).
 
-    Terms ride the one-step Poisson recurrence; once the index passes the
-    modal term the remainder sum_{m>n} m p_m equals x sum_{m>=n} p_m and is
-    bounded by the geometric majorant x p_n / (1 - x/(n+1)), which is what
-    certifies truncation.  Stops as soon as the certificate drops below
-    abs_tol; refuses after ten million terms.
+    Terms ride the one-step Poisson recurrence from the anchor of
+    poisson_term: p_0 = e^{-x} up to the 700 switch, where the sum starts
+    at P+1; above it the modal term, from which the terms between P+1 and
+    the mode are summed on the way down, out of the same walk as
+    _poisson_window's.  There the summand ratio ((i-1)/i) k/x, i = k - P,
+    falls with k, so the terms left below k are at most a geometric
+    majorant, and the downward walk stops once that is at most abs_tol/4.
+    Upwards, once the index passes the mode the remainder sum_{m>n} m p_m
+    equals x sum_{m>=n} p_m and is bounded by x p_n / (1 - x/(n+1)).
+
+    The bound is both majorants plus a rounding charge for terms at most
+    K recurrence steps from the anchor: above the switch the worst case
+    (2K + 8) eps value and the error of the lgamma anchor; below it
+    3 sqrt(K) eps value, a random-walk model of the K roundings, about 2.5
+    times the largest error seen in sweeps below the switch: the worst
+    case would exceed the 1e-12 that acceptance criterion 1 holds the
+    bound to at lambda*t = 100, so this part is not a certificate.  The
+    upward walk stops when the
+    bound fits in abs_tol or, if the charges leave no room, when its tail
+    is below the unit roundoff of the sum; the bound may then exceed
+    abs_tol.  Raises AccuracyError past ten million terms.
     """
     t = check_nonnegative(t, "time")
     abs_tol = check_positive(abs_tol, "absolute tolerance")
@@ -89,21 +106,17 @@ def backlog_series_oracle(params: ModelParams, t: float, abs_tol: float = 1e-12)
     if x == 0.0:
         return EstimateWithError(0.0, 0.0, 0)
 
-    n = production + 1
-    p = poisson_term(x, n)
-    skipped = 0.0
-    if p == 0.0 and x > n:
-        # Opening terms underflowed but the series has not peaked yet; jump
-        # to the modal index and charge the skipped stretch to the bound.
-        n = int(x)
-        p = poisson_term(x, n)
-        skipped = float(n - production) ** 2 * UNDERFLOW_FLOOR
-
     total = 0.0
     comp = 0.0  # Neumaier compensation
     count = 0
-    while True:
-        term = (n - production) * p
+
+    def add(term: float) -> None:
+        nonlocal total, comp, count
+        if count >= _MAX_SERIES_TERMS:
+            raise AccuracyError(
+                f"series did not certify {abs_tol:g} within {_MAX_SERIES_TERMS} terms",
+                best_estimate=total + comp,
+            )
         fresh = total + term
         if abs(total) >= abs(term):
             comp += (total - fresh) + term
@@ -112,28 +125,117 @@ def backlog_series_oracle(params: ModelParams, t: float, abs_tol: float = 1e-12)
         total = fresh
         count += 1
 
+    n = production + 1
+    anchor, anchor_err = 0, 0.0
+    if x > _ANCHOR_SWITCH:
+        anchor = int(x)
+        anchor_err = _anchor_error(x, anchor)
+        n = max(n, anchor)
+    p = poisson_term(x, n)
+
+    # Down from the mode to P+1 (no steps unless the mode lies above P+1).
+    lowest, down_tail = n, 0.0
+    for q in _descend(x, n, p, n, production + 1):
+        lowest -= 1
+        i = lowest - production
+        add(i * q)
+        ratio = (i - 1) / i * lowest / x
+        down_tail = i * q * ratio / (1.0 - ratio)
+        if down_tail <= 0.25 * abs_tol:
+            break
+
+    while True:
+        add((n - production) * p)
         if n + 1 > x:
             ratio = x / (n + 1)
-            bound = skipped + (x * p / (1.0 - ratio) if p > 0.0 else 0.0)
-            if bound <= abs_tol:
-                value = total + comp
-                rounding = 4.0 * _EPS * abs(value)
-                return EstimateWithError(value, bound + rounding, count)
-        if count >= _MAX_SERIES_TERMS:
-            raise AccuracyError(
-                f"series did not certify {abs_tol:g} within {_MAX_SERIES_TERMS} terms",
-                best_estimate=total + comp,
-            )
+            # A term under the floor is 0.0 here but may be up to the floor.
+            up_tail = x * max(p, UNDERFLOW_FLOOR) / (1.0 - ratio)
+            value = total + comp
+            reach = max(n - anchor, anchor - lowest)
+            if x > _ANCHOR_SWITCH:
+                rounding = ((2 * reach + 8) * _EPS + anchor_err) * abs(value)
+            else:
+                rounding = 3.0 * math.sqrt(reach + 1) * _EPS * abs(value)
+            # Certify abs_tol if the charges leave room; else sum to rounding.
+            room = max(abs_tol - down_tail - rounding, _UNIT_ROUNDOFF * abs(value))
+            if up_tail <= room or p == 0.0:
+                return EstimateWithError(value, down_tail + up_tail + rounding, count)
         n += 1
         p *= x / n
         if p < UNDERFLOW_FLOOR:
             p = 0.0
 
 
+def _anchor_error(x: float, anchor: int) -> float:
+    """Relative error charged to the modal anchor exp(_log_term(x, anchor)).
+
+    ln p = m ln x - x - lgamma(m+1) cancels terms of up to this size
+    (lgamma(m+1) <= m ln x); each is good to a few ulps of itself, 2.4 at
+    worst against mpmath up to lambda*t = 1e7.
+    """
+    return 4.0 * _EPS * (2.0 * anchor * math.log(x) + x)
+
+
 def _weighted_tail(i: int, rho: float) -> float:
     """sum_{j>=0} (i+j)(i+j-1) rho^j, in closed form, for 0 <= rho < 1."""
     d = 1.0 - rho
     return i * (i - 1) / d + 2.0 * i * rho / (d * d) + 2.0 * rho * rho / (d * d * d)
+
+
+def _count_while(holds, limit: int) -> int:
+    """How many of d = 0, 1, .., limit-1 pass `holds` before the first that fails.
+
+    `holds` must be true up to some d and false after it.
+    """
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _fewest_terms(x: float, production: int, anchor: int, anchor_err: float) -> int:
+    """A lower bound on the terms cumulative_series_oracle adds above the switch.
+
+    Neither walk stops while its tail test fails.  Within d steps of the
+    anchor a term is at least p_low at the far end (the lgamma log term
+    less a margin for its own error and the walk's), and the weight factor
+    of the tail at least its value there with the weight index nearest the
+    anchor; both fall with d.  The running sum stays below twice
+    E[(N-P)^2] = x + (x-P)^2 and, for P+3 > x, below twice p_{P+2} times
+    the weights' geometric sum 2 / (1 - x/(P+3))^3.  Bisection finds, for
+    each walk, the first d at which these bounds allow a stop.
+    """
+    slack = 1.0 + 2.0 * anchor_err
+
+    def p_low(k: int) -> float:
+        return math.exp(_log_term(x, k) - slack)
+
+    most = x + (x - production) ** 2
+    if production + 3 > x:
+        rho = x / (production + 3)
+        top = math.exp(_log_term(x, production + 2) + slack)
+        most = min(most, 2.0 * top / (1.0 - rho) ** 3)
+    limit = 2.0 * _UNIT_ROUNDOFF * most
+    i_anchor = anchor - production
+
+    def up_continues(d: int) -> bool:
+        k = anchor + d
+        p = p_low(k)
+        return p >= _SMALLEST_NORMAL and p * _weighted_tail(max(i_anchor, 2), x / (k + 1)) > limit
+
+    def down_continues(d: int) -> bool:
+        k = anchor - d
+        i = k - production
+        weight = i * (i - 1) * (i - 2) * k / (i_anchor * (d + 1) + 2 * anchor)
+        return p_low(k) * weight > limit
+
+    up = _count_while(up_continues, _MAX_SERIES_TERMS)
+    down = _count_while(down_continues, max(min(_MAX_SERIES_TERMS, i_anchor - 2), 0))
+    return up + down
 
 
 def cumulative_series_oracle(
@@ -177,13 +279,14 @@ def cumulative_series_oracle(
         anchor, p_anchor, anchor_err = 0, math.exp(-x), 0.0
     else:
         anchor = int(x)
-        # ln p = m ln x - x - lgamma(m+1) cancels terms of up to this size
-        # (lgamma(m+1) <= m ln x); each is good to a few ulps of itself, 2.4
-        # at worst against mpmath up to lambda*t = 1e7.
-        anchor_err = 4.0 * _EPS * (2.0 * anchor * math.log(x) + x)
+        anchor_err = _anchor_error(x, anchor)
         if not anchor_err < 1.0:
             # Near lambda*t = 2e13 the anchor has no correct digit left.
             raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
+        if _fewest_terms(x, production, anchor, anchor_err) >= _MAX_SERIES_TERMS:
+            raise AccuracyError(
+                f"cumulative series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms"
+            )
         p_anchor = math.exp(_log_term(x, anchor))
     first = production + 2  # lowest index with a non-zero weight
 

@@ -1,20 +1,85 @@
 """Poisson terms, exponential and Erlang densities, Erlang CDF."""
 
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backlog_lab.closed_forms import expected_backlog
 from backlog_lab.distributions import (
+    _LOG_CUTOFF,
     UNDERFLOW_FLOOR,
     ModelParams,
+    _log_term,
+    _poisson_prefix,
+    _poisson_window,
     erlang_cdf,
     erlang_density,
     poisson_term,
 )
 from backlog_lab.errors import DomainError
 from backlog_lab.quadrature import adaptive_simpson
+
+# The benchmark's mpmath references (50 digits), which import nothing
+# from backlog_lab.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import references  # noqa: E402
+
+
+def _term_by_its_own_walk(x, n):
+    """p_n(x) walked from the anchor to n alone: e^{-x} up to lambda*t =
+    700, the modal term through lgamma above it, with the same cutoff and
+    underflow floor.  The reference the one-walk window must equal bit for
+    bit."""
+    if x == 0.0:
+        return 1.0 if n == 0 else 0.0
+    if n > 0 and _log_term(x, n) < _LOG_CUTOFF:
+        return 0.0
+    if x <= 700.0:
+        k, p = 0, math.exp(-x)
+    else:
+        k = int(x)
+        p = math.exp(_log_term(x, k))
+    while k < n:
+        k += 1
+        p *= x / k
+        if p < UNDERFLOW_FLOOR:
+            return 0.0
+    while k > n:
+        p *= k / x
+        k -= 1
+        if p < UNDERFLOW_FLOOR:
+            return 0.0
+    return p
+
+
+def _edges(x, log_level):
+    """Lowest and highest n whose log term reaches log_level, by scanning."""
+    mode = int(x)
+    lo = 0
+    while _log_term(x, lo) < log_level:
+        lo += 1
+    hi = mode
+    while _log_term(x, hi + 1) >= log_level:
+        hi += 1
+    return lo, hi
+
+
+def _window_sweep_points():
+    """Seeded lambda*t in [1e-3, 1e5] and just past 700 and 740, each with
+    its mode, both cutoff edges and both underflow edges."""
+    rng = random.Random(4)
+    xs = [10.0 ** rng.uniform(-3.0, 5.0) for _ in range(40)]
+    xs += [700.0, math.nextafter(700.0, 1e3), 700.5, 739.5, 740.0, 740.25, 741.0, 3551.0]
+    for x in xs:
+        edges = [int(x)]
+        for level in (_LOG_CUTOFF, math.log(UNDERFLOW_FLOOR)):
+            edges.extend(_edges(x, level))
+        yield x, edges
 
 
 class TestModelParams:
@@ -122,6 +187,52 @@ class TestPoissonTerm:
             assert math.lgamma(n + 1) == pytest.approx(exact, rel=1e-13)
 
 
+class TestPoissonWindow:
+    """One walk per block of terms, bit for bit the per-index walks."""
+
+    def test_terms_match_their_own_walks(self):
+        for x, edges in _window_sweep_points():
+            for n in {0, 1, 2}.union(*(range(max(e - 12, 0), e + 13) for e in edges)):
+                assert poisson_term(x, n).hex() == _term_by_its_own_walk(x, n).hex(), (x, n)
+
+    def test_windows_match_their_own_walks(self):
+        for x, edges in _window_sweep_points():
+            # Short windows across each edge and the mode, and one window
+            # over the whole cutoff window and past both its ends, checked
+            # at its ends and every 97th index.
+            windows = [(max(e - 6, 0), e + 7) for e in edges]
+            windows.append((0, edges[2] + 5))
+            for lo, hi in windows:
+                first, terms = _poisson_window(x, lo, hi)
+                assert lo <= first and first + len(terms) <= hi
+                assert all(v > 0.0 for v in terms)
+                dense = [0.0] * (first - lo) + terms + [0.0] * (hi - first - len(terms))
+                checked = set(range(lo, min(hi, lo + 13))) | set(range(max(hi - 13, lo), hi))
+                checked.update(range(lo, hi, 97))
+                for n in checked:
+                    assert dense[n - lo].hex() == _term_by_its_own_walk(x, n).hex(), (x, lo, hi, n)
+
+    def test_prefix_matches_terms(self):
+        for x in (0.0, 3.5, 699.9, 700.5, 740.5, 3e3):
+            count = int(x) + 200
+            terms = _poisson_prefix(x, count)
+            assert [v.hex() for v in terms] == [poisson_term(x, n).hex() for n in range(count)]
+
+    def test_large_blocks_match_mpmath(self):
+        # Each term past the switch carries the lgamma anchor's relative
+        # error, at most 4 eps (2 m ln x + x): 3.7e-10 at lambda*t = 2e4,
+        # 5.7e-10 at 3e4, where the bracket of expected_backlog is about P.
+        assert abs(erlang_cdf(1.0, 20_000, 2e4) - references.poisson_tail(2e4, 20_000)) <= 1e-9
+        value = expected_backlog(ModelParams(1.0, 60_000), 3e4)
+        assert abs(value - references.expected_backlog(3e4, 60_000)) <= 1e-9 * 60_000
+
+    def test_cutoff_needs_no_walk_to_the_far_end(self):
+        # p_0 at lambda*t = 1e300 lies under the cutoff; a walk from the mode
+        # would never end.
+        assert poisson_term(1e300, 0) == 0.0
+        assert _poisson_window(1e300, 0, 5) == (0, [])
+
+
 class TestExpDensity:
     """The exponential interarrival density is the one-stage Erlang density."""
 
@@ -210,6 +321,12 @@ class TestErlangCdf:
         # Waiting for more arrivals can only push the CDF down.
         vals = [erlang_cdf(lam, n, t) for n in range(1, 12)]
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("x", [0.7, 35.0, 699.9, 700.5, 740.5, 3e3])
+    def test_is_the_correctly_rounded_sum_of_the_terms(self, x):
+        for n in (1, 2, int(x) + 1, int(x + 10 * math.sqrt(x)) + 3):
+            mass = math.fsum(poisson_term(x, j) for j in range(n))
+            assert erlang_cdf(1.0, n, x) == min(max(1.0 - mass, 0.0), 1.0)
 
     def test_matches_quadrature_of_density(self):
         """Spot check of the CDF against integrating the density; the

@@ -10,7 +10,7 @@ import pytest
 import backlog_lab.oracles
 from backlog_lab.adjudicator import default_grid
 from backlog_lab.closed_forms import CandidateFormula, cumulative_expected_backlog, expected_backlog
-from backlog_lab.distributions import ModelParams, erlang_density
+from backlog_lab.distributions import ModelParams, erlang_density, poisson_term
 from backlog_lab.errors import AccuracyError, DomainError, ResourceLimitError
 from backlog_lab.oracles import (
     EstimateWithError,
@@ -75,6 +75,40 @@ class TestSeriesOracle:
         with pytest.raises(AccuracyError):
             backlog_series_oracle(ModelParams(2.0, 3), 5.0, 1e-12)
 
+    def test_log_uniform_sweep_within_bound_of_mpmath(self):
+        """lam t log-uniform over [1e-3, 1e5], across the 700 anchor switch,
+        with P at 0, 1, x/2, x and 2x.  The reference is the 50-digit value
+        rounded to a double, so half an ulp of it is allowed on top."""
+        rng = random.Random(20232)
+        for lam in (0.3, 1.0, 7.0):
+            for _ in range(40):
+                x = 10.0 ** rng.uniform(-3.0, 5.0)
+                t = x / lam
+                for production in sorted({0, 1, int(x / 2), int(x), int(2 * x)}):
+                    est = backlog_series_oracle(ModelParams(lam, production), t)
+                    truth = references.expected_backlog(lam * t, production)
+                    err = abs(est.value - truth)
+                    assert err <= est.abs_error_bound + 0.5 * math.ulp(truth), (
+                        lam, production, t, est, truth
+                    )
+
+    def test_terms_under_the_floor_are_charged(self):
+        # From the first P whose p_{P+1} lies under the floor the series
+        # sums only zeros, yet its true value is not zero.
+        x = 5.0
+        production = next(p for p in range(1000) if poisson_term(x, p + 1) == 0.0)
+        est = backlog_series_oracle(ModelParams(1.0, production), x)
+        truth = references.expected_backlog(x, production)
+        assert est.value == 0.0 < truth <= est.abs_error_bound
+
+    @pytest.mark.parametrize("x,production", [(750.0, 0), (1e4, 10), (3e4, 1)])
+    def test_no_mass_skipped_below_the_mode(self, x, production):
+        # Past the anchor switch the terms between P+1 and the mode carry
+        # about half the mass; all of it must be summed.
+        est = backlog_series_oracle(ModelParams(1.0, production), x)
+        truth = references.expected_backlog(x, production)
+        assert abs(est.value - truth) <= est.abs_error_bound <= 1e-9 * x
+
 
 class TestCumulativeSeriesOracle:
     def test_zero_time_is_exact(self):
@@ -135,6 +169,20 @@ class TestCumulativeSeriesOracle:
         with pytest.raises(AccuracyError):
             cumulative_series_oracle(ModelParams(2.0, 3), 5.0)
 
+    @pytest.mark.parametrize("t", [1e12, 1e13])
+    def test_past_the_term_budget_is_refused_before_any_term(self, t):
+        # These need about 16.5 sqrt(lam t) terms, past ten million.
+        with pytest.raises(AccuracyError, match="needs more than") as info:
+            cumulative_series_oracle(ModelParams(1.0, 0), t, 1e300)
+        assert info.value.best_estimate is None
+
+    def test_within_the_term_budget_is_not_refused(self):
+        # About 5.2 million terms, inside the budget, so the walk runs; the
+        # value is pinned from a run of the walk without the a-priori check.
+        est = cumulative_series_oracle(ModelParams(1.0, 0), 1e11, 1e300)
+        assert est.value.hex() == "0x1.0f17429ac7da0p+72"
+        assert est.n_effective == 5_219_431
+
     @pytest.mark.parametrize("t", [1e14, 1e300])
     def test_anchor_without_a_correct_digit_is_refused(self, t):
         with pytest.raises(AccuracyError, match="no correct digit"):
@@ -194,13 +242,12 @@ class TestQuadratureOracle:
         with pytest.raises(DomainError):
             cumulative_quadrature_oracle(ModelParams(1.0, 1), -1.0, 1e-9)
 
-    def test_garbage_integrand_exhausts_the_evaluation_budget(self):
-        # Past lam t = 700 at small P the series oracle returns about half
-        # the true value, so the integrand never settles; the quadrature
-        # stops at its evaluation budget instead of running on.
-        with pytest.raises(AccuracyError) as info:
-            cumulative_quadrature_oracle(ModelParams(100.0, 50), 10.0)
-        assert info.value.best_estimate is not None
+    def test_integrand_past_the_anchor_switch_is_within_bound(self):
+        # lam t runs to 1000 over [0, t], past the 700 anchor switch, where
+        # the series oracle sums the terms below the mode too.
+        est = cumulative_quadrature_oracle(ModelParams(100.0, 50), 10.0)
+        truth = references.cumulative_backlog(100.0, 50, 10.0)
+        assert abs(est.value - truth) <= est.abs_error_bound
 
 
 class TestMcConfig:
