@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import DomainError, ResourceLimitError, check_int
@@ -31,9 +32,10 @@ __all__ = [
 
 Summand = Callable[[int], Fraction]
 
-# Largest upper parameter n a check accepts.  The double sums take O(n^2)
-# exact Fraction additions: one A3 check takes about 1.5 s at n = 1000 and
-# 6 s at n = 2000.
+# Largest upper parameter n a check accepts.  The double sums are built
+# from running prefix sums, O(n) exact Fraction additions, but the
+# Fractions grow with n: at n = 1000 one A3 check takes about 0.02 s on a
+# table of small rationals and 0.08 s on power_summand(3/7, 1).
 _MAX_N = 1000
 
 
@@ -101,8 +103,9 @@ def check_identity_a1(n: int, f: Summand) -> EqualityReport:
     f(j) is counted once for every i between j and n-1.
     """
     n = _check_n(n, "upper parameter", 1)
-    lhs = sum((sum((f(j) for j in range(i + 1)), Fraction(0)) for i in range(n)), Fraction(0))
-    rhs = sum(((n - i) * f(i) for i in range(n)), Fraction(0))
+    values = [f(j) for j in range(n)]
+    lhs = sum(accumulate(values), Fraction(0))
+    rhs = sum(((n - i) * v for i, v in enumerate(values)), Fraction(0))
     return EqualityReport("A1", n, lhs, rhs, lhs == rhs)
 
 
@@ -113,8 +116,10 @@ def check_identity_a2(n: int, f: Summand) -> EqualityReport:
     identity evaluated at n-1, which the test bench cross-checks.
     """
     n = _check_n(n, "upper parameter", 1)
-    lhs = sum((sum((f(j) for j in range(i)), Fraction(0)) for i in range(n)), Fraction(0))
-    rhs = sum(((n - 1 - i) * f(i) for i in range(n - 1)), Fraction(0))
+    values = [f(j) for j in range(n - 1)]
+    # The inner sums over j < i, for i = 0..n-1, run from 0 to sum(values).
+    lhs = sum(accumulate(values, initial=Fraction(0)), Fraction(0))
+    rhs = sum(((n - 1 - i) * v for i, v in enumerate(values)), Fraction(0))
     return EqualityReport("A2", n, lhs, rhs, lhs == rhs)
 
 
@@ -126,11 +131,11 @@ def check_identity_a3(n: int, f: Summand) -> EqualityReport:
     triangular products are even so the coefficients stay integral.
     """
     n = _check_n(n, "upper parameter", 1)
-    lhs = sum(
-        (i * sum((f(j) for j in range(i)), Fraction(0)) for i in range(n)), Fraction(0)
-    )
+    values = [f(j) for j in range(n - 1)]
+    inner = accumulate(values, initial=Fraction(0))
+    lhs = sum((i * s for i, s in enumerate(inner)), Fraction(0))
     rhs = sum(
-        ((n * (n - 1) // 2 - j * (j + 1) // 2) * f(j) for j in range(n - 1)), Fraction(0)
+        ((n * (n - 1) // 2 - j * (j + 1) // 2) * v for j, v in enumerate(values)), Fraction(0)
     )
     return EqualityReport("A3", n, lhs, rhs, lhs == rhs)
 

@@ -10,14 +10,16 @@ trajectory exactly, and the convolution routine builds the Erlang
 density from repeated trapezoidal convolution of the exponential
 density.  Agreement between any candidate and these routes is therefore
 evidence, not circularity.
+
+Only the Monte Carlo estimator and the convolution routine use arrays;
+each imports numpy on its first call, after its argument checks, so that
+importing this module (and the package, and the CLI) does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .distributions import (
     _ANCHOR_SWITCH,
@@ -48,6 +50,19 @@ __all__ = [
 ]
 
 _MAX_SERIES_TERMS = 10_000_000
+
+# Above the switch, the a-priori lower bounds on a series walk's length
+# (_fewest_terms, _fewest_backlog_terms) count only indices k whose term
+# p_k is at least the smallest normal double, e^{-L} with L = 708.4 (the
+# downward test of _fewest_terms asks p_k > 2 eps / x^2, more up to
+# x = 1e146).  By the Chernoff bounds p_k <= exp(-(x-k)^2 / 2x) below the
+# mode and exp(-(k-x)^2 / (2x + 2(k-x)/3)) above it, such k lie within
+# sqrt(2Lx) below x and 2L/3 + sqrt(2Lx) above it: at most 7.6 million
+# indices at x = 1e10, short of the budget.  Below this lambda*t neither
+# bound can refuse and the lgamma anchor keeps its digits (_anchor_error
+# is 4.2e-4 at 1e10), so _refuse_hopeless is skipped there, which is
+# always safe: the walks keep the budget themselves.
+_REFUSAL_GATE = 1e10
 
 _EPS = 2.220446049250313e-16
 _UNIT_ROUNDOFF = 0.5 * _EPS
@@ -97,11 +112,13 @@ def backlog_series_oracle(params: ModelParams, t: float, abs_tol: float = 1e-12)
     upward walk stops when the
     bound fits in abs_tol or, if the charges leave no room, when its tail
     is below the unit roundoff of the sum; the bound may then exceed
-    abs_tol.  Raises AccuracyError past ten million terms.
+    abs_tol.  Raises AccuracyError past ten million terms, and before any
+    term where the lgamma anchor has no correct digit or the walk provably
+    needs more terms than that.
     """
     t = check_nonnegative(t, "time")
     abs_tol = check_positive(abs_tol, "absolute tolerance")
-    x = params.lam * t
+    x = check_nonnegative(params.lam * t, "lambda*t")
     production = params.production
     if x == 0.0:
         return EstimateWithError(0.0, 0.0, 0)
@@ -130,6 +147,11 @@ def backlog_series_oracle(params: ModelParams, t: float, abs_tol: float = 1e-12)
     if x > _ANCHOR_SWITCH:
         anchor = int(x)
         anchor_err = _anchor_error(x, anchor)
+        if x > _REFUSAL_GATE:
+            _refuse_hopeless(
+                x, anchor_err,
+                lambda: _fewest_backlog_terms(x, production, anchor, anchor_err, abs_tol),
+            )
         n = max(n, anchor)
     p = poisson_term(x, n)
 
@@ -174,6 +196,54 @@ def _anchor_error(x: float, anchor: int) -> float:
     worst against mpmath up to lambda*t = 1e7.
     """
     return 4.0 * _EPS * (2.0 * anchor * math.log(x) + x)
+
+
+def _refuse_hopeless(x: float, anchor_err: float, fewest_terms) -> None:
+    """Raise AccuracyError, before any term, for a walk that cannot succeed.
+
+    That is when the modal anchor has no correct digit (from about
+    lambda*t = 2e13) or when fewest_terms(), a lower bound on the walk's
+    length, reaches the term budget.  Called only above _REFUSAL_GATE.
+    """
+    if not anchor_err < 1.0:
+        raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
+    if fewest_terms() >= _MAX_SERIES_TERMS:
+        raise AccuracyError(f"series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms")
+
+
+def _fewest_backlog_terms(
+    x: float, production: int, anchor: int, anchor_err: float, abs_tol: float
+) -> int:
+    """A lower bound on the terms backlog_series_oracle adds above the switch.
+
+    Terms are at least p_low, as in _fewest_terms, while they keep their
+    relative precision, so only p_low at least the smallest normal counts:
+    such a term is also above the floor, where the walks stop.  Upwards
+    from max(P+1, anchor) the tail x p_n / (1 - x/(n+1)) is at least
+    x p_n, and the room it is tested against at most max(abs_tol,
+    u |value|) with |value| below 4 E[(N-P)^+] <= 4x.  Downwards from the anchor to P+1 the tail is at least
+    (i-1) p_k k / x, i = k - P, against abs_tol / 4.  Both fall with the
+    distance from the anchor, so bisection finds where each may stop.
+    """
+    slack = 1.0 + 2.0 * anchor_err
+
+    def p_low(k: int) -> float:
+        p = math.exp(_log_term(x, k) - slack)
+        return p if p >= _SMALLEST_NORMAL else 0.0
+
+    start = max(production + 1, anchor)
+    room = max(abs_tol, 2.0 * _EPS * x)
+
+    def up_continues(d: int) -> bool:
+        return x * p_low(start + d) > room
+
+    def down_continues(d: int) -> bool:
+        k = anchor - 1 - d
+        return (k - production - 1) * p_low(k) * k / x > 0.25 * abs_tol
+
+    up = _count_while(up_continues, _MAX_SERIES_TERMS)
+    down = _count_while(down_continues, max(min(_MAX_SERIES_TERMS, anchor - production - 1), 0))
+    return up + down
 
 
 def _weighted_tail(i: int, rho: float) -> float:
@@ -280,12 +350,9 @@ def cumulative_series_oracle(
     else:
         anchor = int(x)
         anchor_err = _anchor_error(x, anchor)
-        if not anchor_err < 1.0:
-            # Near lambda*t = 2e13 the anchor has no correct digit left.
-            raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
-        if _fewest_terms(x, production, anchor, anchor_err) >= _MAX_SERIES_TERMS:
-            raise AccuracyError(
-                f"cumulative series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms"
+        if x > _REFUSAL_GATE:
+            _refuse_hopeless(
+                x, anchor_err, lambda: _fewest_terms(x, production, anchor, anchor_err)
             )
         p_anchor = math.exp(_log_term(x, anchor))
     first = production + 2  # lowest index with a non-zero weight
@@ -360,8 +427,13 @@ def cumulative_quadrature_oracle(
 
     The budget is split: the integrand is resolved to 0.45 abs_tol / t so its
     bias over [0, t] stays under 0.45 abs_tol, and the quadrature itself gets
-    the other 0.45 abs_tol, leaving slack so the reported bound sits strictly
-    below abs_tol.  At t = 0 the integral is exactly zero.
+    the other 0.45 abs_tol, leaving slack so the reported bound sits below
+    abs_tol.  Each accepted panel is Boole's rule, weights (14, 64, 24, 64,
+    14)/180 of its width, all positive, so the integrand's errors add up to
+    at most t times the largest bound the series oracle reports.  Past the
+    anchor switch that bound can exceed the integrand tolerance; the larger
+    one is charged, and the reported bound may then exceed abs_tol, as the
+    series oracle's own may.  At t = 0 the integral is exactly zero.
     """
     t = check_nonnegative(t, "time")
     abs_tol = check_positive(abs_tol, "absolute tolerance")
@@ -369,9 +441,13 @@ def cumulative_quadrature_oracle(
         return EstimateWithError(0.0, 0.0, 0)
 
     integrand_tol = 0.45 * abs_tol / t
+    integrand_bound = integrand_tol
 
     def integrand(u: float) -> float:
-        return backlog_series_oracle(params, u, integrand_tol).value
+        nonlocal integrand_bound
+        est = backlog_series_oracle(params, u, integrand_tol)
+        integrand_bound = max(integrand_bound, est.abs_error_bound)
+        return est.value
 
     ramp = params.production / params.lam
     seeds = {t * k / 8.0 for k in range(1, 8)}
@@ -380,7 +456,7 @@ def cumulative_quadrature_oracle(
     value, quad_err, n_evals = adaptive_simpson(
         integrand, 0.0, t, 0.45 * abs_tol, knots=sorted(seeds)
     )
-    return EstimateWithError(value, quad_err + integrand_tol * t, n_evals)
+    return EstimateWithError(value, quad_err + integrand_bound * t, n_evals)
 
 
 @dataclass(frozen=True)
@@ -417,6 +493,8 @@ def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> E
     production = params.production
     x = lam * t
     draws_per_path = max(4, int(math.ceil(x + 10.0 * math.sqrt(x) + 30.0)))
+
+    import numpy as np
 
     gen = np.random.Generator(np.random.Philox(key=config.seed))
     contributions = np.empty(n_paths, dtype=np.float64)
@@ -478,6 +556,8 @@ def nfold_exponential_convolution(lam: float, n: int, t: float, grid_step: float
     if m + 1 > 100_000_000:
         raise ResourceLimitError(f"grid of {m + 1} points exceeds the 1e8-point ceiling")
     h = t / m
+
+    import numpy as np
 
     grid = np.linspace(0.0, t, m + 1)
     base = lam * np.exp(-lam * grid)

@@ -109,6 +109,29 @@ class TestSeriesOracle:
         truth = references.expected_backlog(x, production)
         assert abs(est.value - truth) <= est.abs_error_bound <= 1e-9 * x
 
+    @pytest.mark.parametrize("x", [1e13, 1e17, 1e20])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_hopeless_walk_is_refused_before_any_term(self, x, half):
+        # At 1e13 the walk needs more than the term budget; from about 2e13
+        # the anchor has no correct digit, and from 1e17 the tail ratio
+        # x/(n+1) rounds to 1.
+        production = int(x / 2) if half else 0
+        with pytest.raises(AccuracyError) as info:
+            backlog_series_oracle(ModelParams(x, production), 1.0)
+        assert info.value.best_estimate is None
+
+    def test_non_finite_demand_is_domain_error(self):
+        with pytest.raises(DomainError):
+            backlog_series_oracle(ModelParams(1e200, 0), 1e200)
+
+    def test_within_the_term_budget_above_the_gate_is_not_refused(self):
+        # About 2 million terms, above the lambda*t where the a-priori
+        # refusal is computed; pinned from a run without it.
+        est = backlog_series_oracle(ModelParams(1.0, 6_000_000_000), 1.2e10)
+        assert est.value.hex() == "0x1.65a21060ab0cdp+32"
+        assert est.abs_error_bound.hex() == "0x1.72265babb8aa2p+21"
+        assert est.n_effective == 1_985_533
+
 
 class TestCumulativeSeriesOracle:
     def test_zero_time_is_exact(self):
@@ -248,6 +271,23 @@ class TestQuadratureOracle:
         est = cumulative_quadrature_oracle(ModelParams(100.0, 50), 10.0)
         truth = references.cumulative_backlog(100.0, 50, 10.0)
         assert abs(est.value - truth) <= est.abs_error_bound
+
+    def test_charges_the_integrand_bound_past_its_tolerance(self, monkeypatch):
+        # Past the switch the lgamma anchor's error makes the series
+        # oracle's bound exceed the integrand tolerance 0.45 abs_tol / t.
+        bounds = []
+        series = backlog_lab.oracles.backlog_series_oracle
+
+        def recording(params, u, abs_tol):
+            est = series(params, u, abs_tol)
+            bounds.append((est.abs_error_bound, abs_tol))
+            return est
+
+        monkeypatch.setattr(backlog_lab.oracles, "backlog_series_oracle", recording)
+        est = cumulative_quadrature_oracle(ModelParams(100.0, 50), 10.0, 1e-9)
+        worst, integrand_tol = max(bounds)
+        assert worst > 100 * integrand_tol
+        assert est.abs_error_bound >= 10.0 * worst
 
 
 class TestMcConfig:
