@@ -16,12 +16,10 @@ from .adjudicator import (
     CandidateSummary,
     ComparisonReport,
     ComparisonRow,
-    PointwiseReport,
     SweepGrid,
     adjudicate,
     boundary_diagnostic,
     default_grid,
-    pointwise_check,
     render_report,
 )
 from .closed_forms import (
@@ -82,7 +80,6 @@ __all__ = [
     "InversionConfig",
     "McConfig",
     "ModelParams",
-    "PointwiseReport",
     "ResourceLimitError",
     "SweepGrid",
     "adjudicate",
@@ -107,7 +104,6 @@ __all__ = [
     "invert_gaver_stehfest",
     "monte_carlo_cumulative",
     "nfold_exponential_convolution",
-    "pointwise_check",
     "poisson_term",
     "power_summand",
     "random_table",

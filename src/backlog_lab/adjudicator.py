@@ -21,22 +21,19 @@ from .closed_forms import (
     UNDEFINED_TERM,
     CandidateFormula,
     cumulative_expected_backlog,
-    expected_backlog,
 )
 from .distributions import ModelParams
-from .errors import AccuracyError, DomainError, check_int
+from .errors import AccuracyError, DomainError, check_int, check_nonnegative, check_positive
 from .laplace import (
     INVERSION_T_MIN,
     InversionConfig,
     image_cumulative_backlog,
-    image_expected_backlog,
     invert_gaver_stehfest,
 )
 # cumulative_quadrature_oracle is no longer called here; it stays bound in
 # this module because perfbench/tracer.py wraps it where adjudicate used to
 # look it up.
 from .oracles import (  # noqa: F401
-    backlog_series_oracle,
     cumulative_quadrature_oracle,
     cumulative_series_oracle,
 )
@@ -47,9 +44,7 @@ __all__ = [
     "ComparisonRow",
     "CandidateSummary",
     "ComparisonReport",
-    "PointwiseReport",
     "adjudicate",
-    "pointwise_check",
     "boundary_diagnostic",
     "render_report",
     "render_rows",
@@ -93,13 +88,11 @@ class SweepGrid:
         if not self.lambdas or not self.productions or not self.times:
             raise DomainError("sweep grid must have at least one value on every axis")
         for lam in self.lambdas:
-            if not math.isfinite(lam) or lam <= 0.0:
-                raise DomainError(f"grid demand rate must be positive, got {lam!r}")
+            check_positive(lam, "grid demand rate")
         for p in self.productions:
             check_int(p, "grid production level", 0)
         for t in self.times:
-            if not math.isfinite(t) or t < 0.0:
-                raise DomainError(f"grid time must be non-negative, got {t!r}")
+            check_nonnegative(t, "grid time")
         if list(self.times) != sorted(self.times):
             raise DomainError("grid times must be ascending")
 
@@ -149,22 +142,6 @@ class ComparisonReport:
     oracle_tol: float
     rows: tuple[ComparisonRow, ...]
     summary: tuple[CandidateSummary, ...]
-
-
-@dataclass(frozen=True)
-class PointwiseReport:
-    """Three-way check of the pointwise expected backlog at one point."""
-
-    lam: float
-    production: int
-    t: float
-    closed_value: float
-    series_value: float
-    series_bound: float
-    gs_value: float | None
-    abs_dev_series: float
-    abs_dev_gs: float | None
-    flags: tuple[str, ...]
 
 
 def adjudicate(
@@ -287,79 +264,19 @@ def adjudicate(
     )
 
 
-def pointwise_check(
-    params: ModelParams,
-    t: float,
-    series_tol: float = 1e-12,
-    inversion: InversionConfig | None = None,
-) -> PointwiseReport:
-    """Check the pointwise closed form against the series oracle and the
-    Gaver-Stehfest inversion of the pointwise image at a single point."""
-    if inversion is None:
-        inversion = InversionConfig()
-    closed = expected_backlog(params, t)
-    series = backlog_series_oracle(params, t, series_tol)
-    flags: tuple[str, ...] = ()
-    if t >= INVERSION_T_MIN:
-        gs = invert_gaver_stehfest(
-            lambda s: image_expected_backlog(params, s), t, inversion
-        )
-        gs_dev: float | None = abs(closed - gs)
-    else:
-        gs = None
-        gs_dev = None
-        flags = (FLAG_GS_SKIPPED,)
-    return PointwiseReport(
-        lam=params.lam,
-        production=params.production,
-        t=float(t),
-        closed_value=closed,
-        series_value=series.value,
-        series_bound=series.abs_error_bound,
-        gs_value=gs,
-        abs_dev_series=abs(closed - series.value),
-        abs_dev_gs=gs_dev,
-        flags=flags,
-    )
-
-
 def boundary_diagnostic(
     lambdas: tuple[float, ...],
     productions: tuple[int, ...],
     candidates: tuple[CandidateFormula, ...] | None = None,
-    tol: float = _BOUNDARY_TOL,
 ) -> tuple[ComparisonRow, ...]:
-    """Evaluate every candidate at t = 0 and return the offending rows.
+    """The rows of adjudicate at t = 0 that carry the boundary-violation flag.
 
-    The cumulative quantity vanishes at t = 0 by definition, so any
-    candidate with |value| > tol there is structurally broken no matter how
-    it behaves later.  The returned rows carry the boundary-violation flag.
+    The cumulative quantity vanishes at t = 0 by definition, so a
+    candidate that does not vanish there is structurally broken no matter
+    how it behaves later.
     """
-    if candidates is None:
-        candidates = tuple(CandidateFormula)
-    offenders = []
-    for lam in sorted(lambdas):
-        for production in sorted(productions):
-            params = ModelParams(lam, production)
-            for candidate in candidates:
-                result = cumulative_expected_backlog(params, 0.0, candidate)
-                if abs(result.value) > tol:
-                    offenders.append(
-                        ComparisonRow(
-                            lam=lam,
-                            production=production,
-                            t=0.0,
-                            candidate=candidate,
-                            candidate_value=result.value,
-                            oracle_value=0.0,
-                            oracle_bound=0.0,
-                            gs_value=None,
-                            abs_dev=abs(result.value),
-                            rel_dev=abs(result.value),
-                            flags=tuple(result.warnings) + (FLAG_GS_SKIPPED, FLAG_BOUNDARY),
-                        )
-                    )
-    return tuple(offenders)
+    report = adjudicate(SweepGrid(tuple(lambdas), tuple(productions), (0.0,)), candidates)
+    return tuple(r for r in report.rows if FLAG_BOUNDARY in r.flags)
 
 
 def _cell(value: float | int | str | None, json: bool) -> str:

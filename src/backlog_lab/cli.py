@@ -107,12 +107,9 @@ def _resolve_seed(explicit: int | None) -> int:
     if raw is None:
         return 0
     try:
-        seed = int(raw)
-    except ValueError:
-        raise _UsageError(f"BACKLOG_LAB_SEED must be an integer, got {raw!r}")
-    if not 0 <= seed < 2**64:
-        raise _UsageError("BACKLOG_LAB_SEED must fit in an unsigned 64-bit integer")
-    return seed
+        return _u64(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"BACKLOG_LAB_SEED: {exc}")
 
 
 def build_parser() -> _Parser:

@@ -88,12 +88,12 @@ def expected_backlog(params: ModelParams, t: float) -> float:
     return x - production + bracket
 
 
-def _poly_plus(lam: float, production: int, t: float) -> float:
-    return lam * t * t / 2.0 - production * t + production * (production + 1) / (2.0 * lam)
-
-
-def _poly_minus(lam: float, production: int, t: float) -> float:
-    return lam * t * t / 2.0 - production * t - production * (production + 1) / (2.0 * lam)
+def _poly(lam: float, production: int, t: float, sign: int) -> float:
+    """lam t^2/2 - P t + sign P(P+1)/(2 lam) with sign +1 or -1.  Negation
+    is exact and a + (-b) rounds as a - b, so either sign gives the bits of
+    the written-out expression."""
+    tail = production * (production + 1) / (2.0 * lam)
+    return lam * t * t / 2.0 - production * t + sign * tail
 
 
 def _eval_original(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
@@ -108,7 +108,7 @@ def _eval_original(lam: float, production: int, t: float) -> tuple[float, tuple[
     s2 = math.fsum(u[j] * x for j in range(p - 1))
     s3 = math.fsum(u[j] * x * x for j in range(p - 2))
     bracket = p * (p + 1) * s1 - 2 * p * s2 + s3
-    value = _poly_plus(lam, p, t)
+    value = _poly(lam, p, t, +1)
     if bracket != 0.0:
         try:
             grow = math.exp(x)
@@ -122,7 +122,7 @@ def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[s
     p = production
     terms = _poisson_prefix(lam * t, p)
     bracket = math.fsum((p - j) * (p - j + 1) * terms[j] for j in range(p))
-    return _poly_plus(lam, p, t) - bracket / (2.0 * lam), ()
+    return _poly(lam, p, t, +1) - bracket / (2.0 * lam), ()
 
 
 # The four variants built on the three-sum bracket
@@ -131,28 +131,29 @@ def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[s
 #         + sum_{j<c3} (j+1)(j+2) p_{j+2}  [+ extra(P, p)]
 #
 # with e^{-x} folded into every term.  Each row holds (c1, c2, c3) as
-# offsets from P, the polynomial part, the extra term, and the smallest P at
-# which that term is defined; below it the term holds the factorial of a
-# negative integer, so it is dropped and the value flagged.
+# offsets from P, the sign of P(P+1)/(2 lam) in the polynomial part, the
+# extra term, and the smallest P at which that term is defined; below it the
+# term holds the factorial of a negative integer, so it is dropped and the
+# value flagged.
 _BRACKET_ROWS = {
-    CandidateFormula.ORIGINAL_NEGEXP: ((0, -1, -2), _poly_plus, None, 0),
+    CandidateFormula.ORIGINAL_NEGEXP: ((0, -1, -2), +1, None, 0),
     CandidateFormula.WOLFRAM: (
         (2, 2, 2),
-        _poly_minus,
+        -1,
         lambda p, q: (p - 1) * (p + 2) * q[p + 2] - (p + 2) * (p + 3) * q[p + 3],
         0,
     ),
     # -4P x^{P-1}/(P-2)! is -4P (P-1) p_{P-1}.
     CandidateFormula.NOTE: (
-        (0, -1, -2), _poly_minus, lambda p, q: -4 * p * (p - 1) * q[p - 1], 2
+        (0, -1, -2), -1, lambda p, q: -4 * p * (p - 1) * q[p - 1], 2
     ),
     # +2 x^{P-1}/(P-1)! is +2 p_{P-1}.
-    CandidateFormula.EQ10: ((-1, -2, -3), _poly_minus, lambda p, q: 2.0 * q[p - 1], 1),
+    CandidateFormula.EQ10: ((-1, -2, -3), -1, lambda p, q: 2.0 * q[p - 1], 1),
 }
 
 
 def _eval_bracket_row(row: tuple, lam: float, p: int, t: float) -> tuple[float, tuple[str, ...]]:
-    caps, poly, extra, defined_from = row
+    caps, sign, extra, defined_from = row
     # p_{P+3} is the highest term any row reads.
     terms = _poisson_prefix(lam * t, p + 4)
     c1, c2, c3 = (p + cap for cap in caps)
@@ -165,7 +166,7 @@ def _eval_bracket_row(row: tuple, lam: float, p: int, t: float) -> tuple[float, 
         warnings = (UNDEFINED_TERM,)
     elif extra is not None:
         bracket += extra(p, terms)
-    return poly(lam, p, t) - bracket / (2.0 * lam), warnings
+    return _poly(lam, p, t, sign) - bracket / (2.0 * lam), warnings
 
 
 _LITERAL_EVALUATORS = {

@@ -129,7 +129,6 @@ def forward_transform(
     abs_tol: float,
     growth_degree: int = 0,
     growth_coeff: float = 1.0,
-    knots: tuple[float, ...] = (),
 ) -> EstimateWithError:
     """Numerical Laplace transform integral_0^inf e^{-st} f(t) dt.
 
@@ -156,7 +155,6 @@ def forward_transform(
 
     seeds = {big_t * k / 8.0 for k in range(1, 8)}
     seeds.update(big_t / 2.0**k for k in range(4, 8))
-    seeds.update(float(k) for k in knots)
     value, quad_err, n_evals = adaptive_simpson(
         integrand, 0.0, big_t, abs_tol / 2.0, knots=sorted(seeds)
     )

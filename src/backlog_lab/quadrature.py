@@ -33,7 +33,6 @@ def adaptive_simpson(
     b: float,
     abs_tol: float,
     knots: Iterable[float] = (),
-    max_depth: int = _MAX_DEPTH,
 ) -> tuple[float, float, int]:
     """Integrate f over [a, b] to absolute tolerance abs_tol.
 
@@ -42,7 +41,7 @@ def adaptive_simpson(
     known features such as a narrow density bump.  Returns
     (value, error_estimate, n_evaluations).  Raises AccuracyError, carrying
     the best estimate, if some panel still fails the acceptance criterion
-    at the maximum bisection depth, or if the panels would take more than
+    at _MAX_DEPTH bisections, or if the panels would take more than
     _MAX_EVALS evaluations of f.
     """
     a = float(a)
@@ -93,7 +92,7 @@ def adaptive_simpson(
         s_left = _simpson(flo, flmid, fmid, mid - lo)
         s_right = _simpson(fmid, frmid, fhi, hi - mid)
         delta = s_left + s_right - s0
-        if abs(delta) <= 15.0 * tol or depth >= max_depth or lmid <= lo or rmid >= hi:
+        if abs(delta) <= 15.0 * tol or depth >= _MAX_DEPTH or lmid <= lo or rmid >= hi:
             if abs(delta) > 15.0 * tol:
                 failed = True
             total += s_left + s_right + delta / 15.0
@@ -105,7 +104,7 @@ def adaptive_simpson(
 
     if failed:
         raise AccuracyError(
-            f"quadrature did not converge to {abs_tol:g} within depth {max_depth}",
+            f"quadrature did not converge to {abs_tol:g} within depth {_MAX_DEPTH}",
             best_estimate=total,
         )
     return total, err_total, n_evals

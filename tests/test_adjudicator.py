@@ -1,4 +1,4 @@
-"""Grid sweeps, verdicts, pointwise checks, and report serialization.
+"""Grid sweeps, verdicts, the boundary diagnostic, and report serialization.
 
 The verdict fixture in TestDefaultGridVerdicts was established by running
 the quadrature oracle first and freezing what it reported, never the other
@@ -9,7 +9,6 @@ is a finding, and this file is where it should surface.
 import csv
 import io
 import json
-import math
 
 import pytest
 
@@ -21,11 +20,9 @@ from backlog_lab.adjudicator import (
     adjudicate,
     boundary_diagnostic,
     default_grid,
-    pointwise_check,
     render_report,
 )
 from backlog_lab.closed_forms import UNDEFINED_TERM, CandidateFormula
-from backlog_lab.distributions import ModelParams
 from backlog_lab.errors import DomainError
 from backlog_lab.laplace import InversionConfig
 
@@ -167,33 +164,6 @@ class TestDefaultGridVerdicts:
         assert {r.production for r in flagged} == {1}
 
 
-class TestPointwiseCheck:
-    def test_zero_stock(self):
-        rep = pointwise_check(ModelParams(1.0, 0), 3.0)
-        assert rep.closed_value == pytest.approx(3.0, rel=1e-12)
-        assert rep.series_value == pytest.approx(3.0, rel=1e-10)
-        assert rep.gs_value == pytest.approx(3.0, rel=1e-5)
-
-    def test_unit_point(self):
-        rep = pointwise_check(ModelParams(1.0, 1), 1.0)
-        assert rep.closed_value == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert rep.abs_dev_series < 1e-10
-
-    def test_moderate_point_with_sharper_inversion(self):
-        # The stated 1e-5 needs order 20 here; the default order leaves
-        # about 3e-5 of method truncation.
-        rep = pointwise_check(
-            ModelParams(2.0, 4), 2.0, inversion=InversionConfig(order=20)
-        )
-        assert rep.abs_dev_series < 1e-10
-        assert rep.abs_dev_gs < 1e-5
-
-    def test_below_inversion_floor_skips_gs(self):
-        rep = pointwise_check(ModelParams(1.0, 1), 1e-4)
-        assert rep.gs_value is None
-        assert FLAG_GS_SKIPPED in rep.flags
-
-
 class TestBoundaryDiagnostic:
     def test_flags_the_three_offset_variants(self):
         offenders = boundary_diagnostic((0.5, 1.0, 2.0), (1, 2, 3))
@@ -210,6 +180,23 @@ class TestBoundaryDiagnostic:
             # The offset is the polynomial tail left standing at t = 0.
             p = r.production
             assert r.candidate_value == pytest.approx(-p * (p + 1) / r.lam, rel=1e-9, abs=1e-9)
+
+    def test_rows_carry_the_zero_truth_and_no_inversion(self):
+        offenders = boundary_diagnostic((2, 0.5), (3, 1))
+        # Sorted like adjudicate's rows; three offenders at each point.
+        coords = [(r.lam, r.production) for r in offenders]
+        assert coords == [(lam, p) for lam in (0.5, 2) for p in (1, 3) for _ in range(3)]
+        for r in offenders:
+            assert r.oracle_value == 0.0 and r.oracle_bound == 0.0
+            assert r.gs_value is None
+            assert r.abs_dev == r.rel_dev == abs(r.candidate_value)
+            assert FLAG_GS_SKIPPED in r.flags
+
+    def test_rejects_an_empty_axis(self):
+        with pytest.raises(DomainError):
+            boundary_diagnostic((), (1,))
+        with pytest.raises(DomainError):
+            boundary_diagnostic((1.0,), ())
 
 
 class TestRenderReport:

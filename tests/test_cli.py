@@ -156,6 +156,17 @@ class TestSimulate:
         _, out_b, _ = run(capsys, *args, "--seed", "2")
         assert out_a == out_b
 
+    @pytest.mark.parametrize("raw", ["abc", "18446744073709551616"])
+    def test_bad_environment_seed_is_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("BACKLOG_LAB_SEED", raw)
+        code, out, err = run(
+            capsys, "simulate", "--lambda", "1", "--production", "2", "--t", "2",
+            "--paths", "100",
+        )
+        assert code == 3
+        assert out == ""
+        assert "BACKLOG_LAB_SEED" in err
+
     def test_single_path_json_is_parseable(self, capsys):
         # One path has no sample variance, so the half-width is infinite.
         code, out, _ = run(

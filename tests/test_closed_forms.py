@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backlog_lab.adjudicator import default_grid
 from backlog_lab.closed_forms import (
     UNDEFINED_TERM,
     CandidateFormula,
@@ -18,8 +19,9 @@ from backlog_lab.closed_forms import (
     cumulative_expected_backlog,
     expected_backlog,
 )
-from backlog_lab.distributions import ModelParams
+from backlog_lab.distributions import ModelParams, poisson_term
 from backlog_lab.errors import DomainError
+from backlog_lab.oracles import cumulative_series_oracle
 
 ALL = tuple(CandidateFormula)
 GRID_LAMBDAS = (0.5, 1.0, 2.0, 5.0)
@@ -259,3 +261,43 @@ class TestCrossChecks:
             ModelParams(lam, production), 0.0, CandidateFormula.COMPACT
         )
         assert abs(res.value) < 1e-12
+
+
+class TestOffsetResiduals:
+    """The failing bracket rows miss the truth by a closed-form residual.
+
+    With x = lam t, wolfram and eq10 sit exactly P(P+1)/lam below the
+    truth.  note carries one more term, 2P(P-1) p_{P-1}(x)/lam, so its
+    residual depends on t.  Each is held to the series oracle's bound plus
+    a few units of rounding at the scale of the values compared.
+    """
+
+    @staticmethod
+    def residual(candidate, lam, production, t):
+        offset = -production * (production + 1) / lam
+        if candidate is CandidateFormula.NOTE:
+            p_below = poisson_term(lam * t, production - 1)
+            offset += 2 * production * (production - 1) * p_below / lam
+        return offset
+
+    def test_residuals_on_the_default_grid(self):
+        grid = default_grid()
+        checked = 0
+        for lam in grid.lambdas:
+            for production in grid.productions:
+                params = ModelParams(lam, production)
+                for t in grid.times:
+                    truth = cumulative_series_oracle(params, t)
+                    for candidate in (
+                        CandidateFormula.WOLFRAM, CandidateFormula.EQ10, CandidateFormula.NOTE
+                    ):
+                        if candidate is CandidateFormula.NOTE and production < 2:
+                            continue
+                        value = cumulative_expected_backlog(params, t, candidate).value
+                        want = self.residual(candidate, lam, production, t)
+                        scale = max(abs(value), abs(truth.value), abs(want))
+                        slack = truth.abs_error_bound + 4 * 2.0**-52 * scale
+                        point = (candidate, lam, production, t)
+                        assert abs(value - truth.value - want) <= slack, point
+                        checked += 1
+        assert checked == 3 * 6 * 6 * 2 + 3 * 5 * 6

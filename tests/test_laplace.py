@@ -205,6 +205,15 @@ class TestGaverStehfest:
         with pytest.raises(DomainError):
             invert_gaver_stehfest(lambda s: 1.0 / s, 1e-4, InversionConfig())
 
+    def test_expected_backlog_image_at_order_20(self):
+        # The stated 1e-5 needs order 20 here; the default order leaves
+        # about 3e-5 of method truncation.
+        params = ModelParams(2.0, 4)
+        got = invert_gaver_stehfest(
+            lambda s: image_expected_backlog(params, s), 2.0, InversionConfig(order=20)
+        )
+        assert abs(got - expected_backlog(params, 2.0)) < 1e-5
+
 
 class TestErlangRecovery:
     """Inverting (lam/(lam+s))^n should give back the Erlang density."""

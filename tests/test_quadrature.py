@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from backlog_lab import quadrature
 from backlog_lab.errors import AccuracyError, DomainError
 from backlog_lab.quadrature import adaptive_simpson
 
@@ -58,11 +59,12 @@ class TestAdaptiveSimpson:
             value, bound, _ = adaptive_simpson(f, a, b, 1e-10)
             assert abs(value - truth) <= max(bound, 1e-10)
 
-    def test_exhaustion_raises_with_best_estimate(self):
+    def test_exhaustion_raises_with_best_estimate(self, monkeypatch):
         """An impossible budget with a tiny depth cap must fail loudly but
         still surrender the partial answer."""
-        with pytest.raises(AccuracyError) as exc:
-            adaptive_simpson(math.exp, 0.0, 1.0, 1e-15, max_depth=2)
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
+        with pytest.raises(AccuracyError, match="within depth 2") as exc:
+            adaptive_simpson(math.exp, 0.0, 1.0, 1e-15)
         best = exc.value.best_estimate
         assert best == pytest.approx(math.e - 1.0, abs=1e-6)
 
