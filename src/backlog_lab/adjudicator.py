@@ -93,8 +93,13 @@ class SweepGrid:
             check_int(p, "grid production level", 0)
         for t in self.times:
             check_nonnegative(t, "grid time")
-        if list(self.times) != sorted(self.times):
-            raise DomainError("grid times must be ascending")
+        # A repeated value would evaluate, print and count its points twice.
+        for axis, values in (("demand rates", self.lambdas), ("production levels", self.productions)):
+            if len(set(values)) != len(values):
+                raise DomainError(f"grid {axis} must not repeat")
+        # Strictly, so that -0.0 and 0.0 cannot both stand for t = 0.
+        if any(not (a < b) for a, b in zip(self.times, self.times[1:])):
+            raise DomainError("grid times must be strictly ascending")
 
 
 def default_grid() -> SweepGrid:
@@ -290,8 +295,22 @@ def _cell(value: float | int | str | None, json: bool) -> str:
     return str(value)
 
 
-def _json_object(columns: tuple[str, ...], row: tuple) -> str:
-    return "{" + ", ".join([f'"{k}": {_cell(v, True)}' for k, v in zip(columns, row)]) + "}"
+def _json_template(columns: tuple[str, ...]) -> str:
+    """A JSON object with one %s slot per column, to be filled with cell texts."""
+    return "{" + ", ".join([f'"{k.replace("%", "%%")}": %s' for k in columns]) + "}"
+
+
+def _frame(columns: tuple[str, ...], text_rows, format: str) -> str:
+    """The CSV document or JSON array of rows whose cells are already texts."""
+    if format == "csv":
+        lines = [",".join(columns)]
+        lines.extend(map(",".join, text_rows))
+        return "\n".join(lines) + "\n"
+    if format == "json":
+        template = "  " + _json_template(columns)
+        items = ",\n".join([template % tuple(texts) for texts in text_rows])
+        return "[\n" + items + ("\n" if items else "") + "]\n"
+    raise DomainError(f"unknown report format {format!r}")
 
 
 def render_rows(columns: tuple[str, ...], rows, format: str = "csv") -> str:
@@ -303,49 +322,71 @@ def render_rows(columns: tuple[str, ...], rows, format: str = "csv") -> str:
     round trip.  Missing values (None) are empty CSV cells and JSON nulls;
     non-finite floats are quoted strings in JSON so the document stays
     parseable.  Strings are tags and flags, written without escaping.
+    Each cell is formatted on its own; render_report goes through the same
+    cell rule and framing, but lets rows that share objects share texts.
     """
-    if format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join([_cell(v, False) for v in row]) for row in rows)
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        items = ",\n".join("  " + _json_object(columns, row) for row in rows)
-        return "[\n" + items + ("\n" if items else "") + "]\n"
-    raise DomainError(f"unknown report format {format!r}")
+    json = format == "json"
+    return _frame(columns, ([_cell(v, json) for v in row] for row in rows), format)
 
 
 def render_record(columns: tuple[str, ...], row: tuple, format: str = "csv") -> str:
     """One row as render_rows writes it, but a bare JSON object, not an array."""
     if format == "json":
-        return _json_object(columns, row) + "\n"
+        return _json_template(columns) % tuple([_cell(v, True) for v in row]) + "\n"
     return render_rows(columns, (row,), format)
 
 
+def _report_cells(rows, json: bool):
+    """The cell texts of each report row, in _COLUMNS order.
+
+    The rows of one grid point hold the same lam, production, t, oracle
+    and Gaver-Stehfest objects, so a row that holds the very objects of
+    the row before it takes that row's texts for those six cells.  Only
+    identity counts: equal values may print differently (-0.0 and 0.0).
+    """
+    prev = None
+    for r in rows:
+        if (
+            prev is None
+            or r.lam is not prev.lam
+            or r.production is not prev.production
+            or r.t is not prev.t
+            or r.oracle_value is not prev.oracle_value
+            or r.oracle_bound is not prev.oracle_bound
+            or r.gs_value is not prev.gs_value
+        ):
+            # Grid axes may hold ints; they print as the floats they stand for.
+            lam = _cell(float(r.lam), json)
+            production = _cell(r.production, json)
+            t = _cell(float(r.t), json)
+            oracle_value = _cell(r.oracle_value, json)
+            oracle_bound = _cell(r.oracle_bound, json)
+            gs_value = _cell(r.gs_value, json)
+        prev = r
+        yield (
+            lam,
+            production,
+            t,
+            _cell(r.candidate.value, json),
+            _cell(r.candidate_value, json),
+            oracle_value,
+            oracle_bound,
+            gs_value,
+            _cell(r.abs_dev, json),
+            _cell(r.rel_dev, json),
+            _cell(";".join(r.flags), json),
+        )
+
+
 def render_report(report: ComparisonReport, format: str = "csv") -> str:
-    """Serialize the comparison rows with render_rows.
+    """Serialize the comparison rows with render_rows' cell rule and framing.
 
     CSV and JSON carry the same columns in the same order.  Rows arrive
     already sorted by (lambda, production, t, candidate order).  Missing
-    values are a skipped inversion or a failed oracle.
+    values are a skipped inversion or a failed oracle.  The rows of one
+    grid point share their lambda, production, t, oracle and inversion
+    objects, and so share those texts: each is formatted once per point,
+    not once per candidate.  The output is byte for byte what render_rows
+    writes for the same cells.
     """
-    return render_rows(
-        _COLUMNS,
-        [
-            (
-                # Grid axes may hold ints; they print as the floats they stand for.
-                float(r.lam),
-                r.production,
-                float(r.t),
-                r.candidate.value,
-                r.candidate_value,
-                r.oracle_value,
-                r.oracle_bound,
-                r.gs_value,
-                r.abs_dev,
-                r.rel_dev,
-                ";".join(r.flags),
-            )
-            for r in report.rows
-        ],
-        format,
-    )
+    return _frame(_COLUMNS, _report_cells(report.rows, format == "json"), format)

@@ -240,7 +240,7 @@ def build_parser() -> _Parser:
         "--t-list",
         type=_float_list,
         default=None,
-        help="comma-separated ascending times, in time units (default grid: 0.25,0.5,1,2,5,10)",
+        help="comma-separated strictly ascending times, in time units (default grid: 0.25,0.5,1,2,5,10)",
     )
     p.add_argument(
         "--candidate",

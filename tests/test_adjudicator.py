@@ -7,20 +7,26 @@ is a finding, and this file is where it should surface.
 """
 
 import csv
+import dataclasses
 import io
 import json
+import math
 
 import pytest
 
+from backlog_lab import adjudicator
 from backlog_lab.adjudicator import (
+    _COLUMNS,
     FLAG_BOUNDARY,
     FLAG_GS_SKIPPED,
     ComparisonReport,
     SweepGrid,
+    _cell,
     adjudicate,
     boundary_diagnostic,
     default_grid,
     render_report,
+    render_rows,
 )
 from backlog_lab.closed_forms import UNDEFINED_TERM, CandidateFormula
 from backlog_lab.errors import DomainError
@@ -60,6 +66,20 @@ class TestSweepGrid:
             SweepGrid(lambdas=(-1.0,), productions=(1,), times=(1.0,))
         with pytest.raises(DomainError):
             SweepGrid(lambdas=(1.0,), productions=(-1,), times=(1.0,))
+
+    @pytest.mark.parametrize("axes", [
+        ((1.0, 1.0), (1,), (1.0,)),
+        ((1, 1.0), (1,), (1.0,)),
+        ((1.0, 2.0, 1.0), (1,), (1.0,)),
+        ((1.0,), (2, 2), (1.0,)),
+        ((1.0,), (1,), (1.0, 1.0)),
+        ((1.0,), (1,), (0.0, 0.5, 0.5, 1.0)),
+        ((1.0,), (1,), (-0.0, 0.0)),
+    ])
+    def test_rejects_repeated_values(self, axes):
+        """A repeated value would put the same point in the report twice."""
+        with pytest.raises(DomainError):
+            SweepGrid(*axes)
 
 
 class TestAdjudicate:
@@ -255,6 +275,101 @@ class TestRenderReport:
     def test_unknown_format_rejected(self, small_report):
         with pytest.raises(DomainError):
             render_report(small_report, format="xml")
+
+
+_SHARED_FIELDS = ("lam", "production", "t", "oracle_value", "oracle_bound", "gs_value")
+
+
+def _fresh(value):
+    """An equal value that is not the same object (floats only; ints are interned)."""
+    return float(repr(value)) if isinstance(value, float) else value
+
+
+def _no_shared_objects(report):
+    rows = tuple(
+        dataclasses.replace(r, **{name: _fresh(getattr(r, name)) for name in _SHARED_FIELDS})
+        for r in report.rows
+    )
+    return dataclasses.replace(report, rows=rows)
+
+
+def _one_field_changed_per_row(report):
+    """Each row holds its predecessor's objects, bar one shared field moved by one."""
+    rows = [report.rows[0]]
+    for i in range(1, len(report.rows)):
+        name = _SHARED_FIELDS[i % len(_SHARED_FIELDS)]
+        rows.append(dataclasses.replace(rows[-1], **{name: getattr(rows[-1], name) + 1}))
+    return dataclasses.replace(report, rows=tuple(rows))
+
+
+def _reversed(report):
+    return dataclasses.replace(report, rows=tuple(reversed(report.rows)))
+
+
+def _alternate_signed_zero(report):
+    rows = tuple(
+        dataclasses.replace(r, t=-0.0) if i % 2 else r for i, r in enumerate(report.rows)
+    )
+    return dataclasses.replace(report, rows=rows)
+
+
+def _reference_cells(report):
+    """The report's cells built row by row, with nothing shared between rows."""
+    return [
+        (
+            float(r.lam), r.production, float(r.t), r.candidate.value, r.candidate_value,
+            r.oracle_value, r.oracle_bound, r.gs_value, r.abs_dev, r.rel_dev,
+            ";".join(r.flags),
+        )
+        for r in report.rows
+    ]
+
+
+_REUSE_CASES = {
+    "default-grid": lambda: adjudicate(default_grid()),
+    # t = 0 skips the inversion, so the gs cells are None.
+    "zero-time": lambda: adjudicate(SweepGrid((0.5, 1.0), (0, 2), (0.0, 1.0))),
+    # original overflows to a non-finite value, quoted in json.
+    "overflow": lambda: adjudicate(SweepGrid((100.0,), (2, 3), (1.0, 8.0, 9.0))),
+    "int-lambdas": lambda: adjudicate(SweepGrid((1, 2), (1, 3), (0.5, 2))),
+    "no-shared-objects": lambda: _no_shared_objects(adjudicate(default_grid())),
+    "reversed": lambda: _reversed(adjudicate(default_grid())),
+    "one-field-changed": lambda: _one_field_changed_per_row(adjudicate(default_grid())),
+    # Equal but not the same: -0.0 == 0.0, yet they print differently.
+    "signed-zero-times": lambda: _alternate_signed_zero(adjudicate(SweepGrid((1.0,), (0, 1), (0.0,)))),
+}
+
+
+class TestRenderReportReuse:
+    """render_report shares texts between rows that hold the same objects,
+    and writes exactly what render_rows writes for the same cells."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(_REUSE_CASES))
+    def test_equals_rendering_row_by_row(self, case, fmt):
+        report = _REUSE_CASES[case]()
+        assert render_report(report, fmt) == render_rows(_COLUMNS, _reference_cells(report), fmt)
+
+    def test_overflow_case_holds_a_non_finite_value(self):
+        report = _REUSE_CASES["overflow"]()
+        assert any(not math.isfinite(r.candidate_value) for r in report.rows)
+        assert '"-inf"' in render_report(report, "json")
+
+    def test_formats_a_points_floats_once(self, monkeypatch):
+        report = adjudicate(default_grid())
+        floats = []
+
+        def counting_cell(value, json):
+            if isinstance(value, float):
+                floats.append(value)
+            return _cell(value, json)
+
+        monkeypatch.setattr(adjudicator, "_cell", counting_cell)
+        render_report(report, "csv")
+        n_points = len({(r.lam, r.production, r.t) for r in report.rows})
+        # Three per row (candidate value and both deviations), five per
+        # point (lambda, t, oracle value and bound, inversion).
+        assert len(floats) == 3 * len(report.rows) + 5 * n_points == 2484
 
 
 class TestVerdictStability:

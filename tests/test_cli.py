@@ -270,6 +270,17 @@ class TestAdjudicate:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("axis", [
+        ("--lambda", "1,1", "--production", "2", "--t-list", "1"),
+        ("--lambda", "1", "--production", "2,2", "--t-list", "1"),
+        ("--lambda", "1", "--production", "2", "--t-list", "1,1"),
+    ])
+    def test_repeated_axis_value_is_domain_error(self, axis, capsys):
+        code, out, err = run(capsys, "adjudicate", *axis, "--candidate", "compact")
+        assert code == 1
+        assert out == ""
+        assert "domain error" in err
+
 
 class TestFramework:
     def test_no_arguments_is_usage_error(self, capsys):
