@@ -93,6 +93,8 @@ class SweepGrid:
             check_int(p, "grid production level", 0)
         for t in self.times:
             check_nonnegative(t, "grid time")
+        # -0.0 is the point t = 0 and is stored, and printed, as 0.0.
+        object.__setattr__(self, "times", tuple(0.0 if t == 0 else t for t in self.times))
         # A repeated value would evaluate, print and count its points twice.
         for axis, values in (("demand rates", self.lambdas), ("production levels", self.productions)):
             if len(set(values)) != len(values):

@@ -11,6 +11,12 @@ density from repeated trapezoidal convolution of the exponential
 density.  Agreement between any candidate and these routes is therefore
 evidence, not circularity.
 
+On the convolution's uniform grid the exponential kernel factors as
+e^{-lam (t_k - t_i)} = e^{-lam t_k} e^{lam t_i}, so each fold of the
+iterate tilted by e^{lam t_k} is one running sum: O(n m) time for n folds
+of an m-step grid, in two arrays of m + 1 floats, and no truncation error
+for n <= 3.
+
 Only the Monte Carlo estimator and the convolution routine use arrays;
 each imports numpy on its first call, after its argument checks, so that
 importing this module (and the package, and the CLI) does not load numpy.
@@ -541,14 +547,30 @@ def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> E
 def nfold_exponential_convolution(lam: float, n: int, t: float, grid_step: float) -> float:
     """n-fold convolution of the exponential density, by iterated trapezoid.
 
-    All folds live on one uniform grid over [0, t] (the step is snapped so
-    the grid lands exactly on t); each fold is a discrete convolution with
-    endpoint half-weights.  The result converges to the n-stage arrival
-    density with error O(grid_step^2).  Grids beyond 1e8 points are refused.
+    All folds live on one uniform grid t_k = k h over [0, t] (the step is
+    snapped so the grid lands exactly on t); each fold is a discrete
+    convolution with endpoint half-weights.  The result converges to the
+    n-stage arrival density with error O(grid_step^2), and carries none
+    for n <= 3, where the integrands are piecewise linear.  Grids beyond
+    1e8 points are refused.
+
+    On a uniform grid the exponential kernel factors,
+    lam e^{-lam (t_k - t_i)} = lam e^{-lam t_k} e^{lam t_i}, so the iterate
+    tilted by e^{lam t_k} / lam folds as a running sum,
+    q_k <- lam h (sum_{i<=k} q_i - q_0 / 2 - q_k / 2), starting from q = 1,
+    and the density is lam q_m e^{-lam t}.  Each fold is O(m) instead of
+    the O(m^2) of a direct convolution, so a call costs O(n m) time and two
+    arrays of m + 1 floats.  The factor (lam h)^{n-1} is kept out of the
+    arrays, which then hold values at most m^{n-1}, and the result is
+    formed as one exponential of the summed logarithms, so a density whose
+    e^{-lam t} alone would underflow keeps its relative digits.  lam*t must
+    be finite; where lam^n t^{n-1} e^{-lam t} bounds the density below
+    e^{-750}, 0.0 is returned without building the grid.
     """
     lam = check_positive(lam, "rate")
     check_int(n, "fold count", 2, 8)
     t = check_positive(t, "time")
+    x = check_nonnegative(lam * t, "lambda*t")
     grid_step = float(grid_step)
     if not (0.0 < grid_step <= t / 100.0):
         raise DomainError(f"grid step must lie in (0, t/100], got {grid_step!r}")
@@ -556,13 +578,21 @@ def nfold_exponential_convolution(lam: float, n: int, t: float, grid_step: float
     if m + 1 > 100_000_000:
         raise ResourceLimitError(f"grid of {m + 1} points exceeds the 1e8-point ceiling")
     h = t / m
+    # The trapezoid sum of a non-negative increasing iterate is at most k
+    # times its largest term, so q_m <= (lam t)^{n-1} and the density is at
+    # most lam^n t^{n-1} e^{-lam t}; below e^{-750} it underflows anyway.
+    log_lam = math.log(lam)
+    if n * log_lam + (n - 1) * math.log(t) - x < -750.0:
+        return 0.0
 
     import numpy as np
 
-    grid = np.linspace(0.0, t, m + 1)
-    base = lam * np.exp(-lam * grid)
-    cur = base.copy()
+    # After j folds q holds the tilted iterate over (lam h)^j.
+    q = np.ones(m + 1)
+    sums = np.empty(m + 1)
     for _ in range(n - 1):
-        full = np.convolve(cur, base)[: m + 1]
-        cur = h * (full - 0.5 * cur[0] * base - 0.5 * base[0] * cur)
-    return float(cur[-1])
+        np.cumsum(q, out=sums)
+        sums -= 0.5 * q[0]
+        q *= -0.5
+        q += sums
+    return math.exp(log_lam + math.log(q[-1]) + (n - 1) * (log_lam + math.log(h)) - x)

@@ -61,6 +61,10 @@ class TestSweepGrid:
         with pytest.raises(DomainError):
             SweepGrid(lambdas=(1.0,), productions=(1,), times=(2.0, 1.0))
 
+    def test_stores_negative_zero_time_as_zero(self):
+        grid = SweepGrid(lambdas=(1.0,), productions=(1,), times=(-0.0, 1.0))
+        assert math.copysign(1.0, grid.times[0]) == 1.0
+
     def test_rejects_bad_members(self):
         with pytest.raises(DomainError):
             SweepGrid(lambdas=(-1.0,), productions=(1,), times=(1.0,))

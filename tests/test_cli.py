@@ -281,6 +281,14 @@ class TestAdjudicate:
         assert out == ""
         assert "domain error" in err
 
+    def test_negative_zero_time_prints_as_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "adjudicate", "--lambda", "1", "--production", "1",
+            "--t-list=-0,1", "--candidate", "compact",
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("1,1,0,compact,")
+
 
 class TestFramework:
     def test_no_arguments_is_usage_error(self, capsys):

@@ -1,8 +1,11 @@
 """Series, quadrature, Monte Carlo, and convolution ground-truth engines."""
 
 import math
+import os
 import random
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -358,6 +361,38 @@ class TestMonteCarlo:
         assert "ci-unreliable" in est.notes
 
 
+def _direct_convolution(lam, n, t, grid_step):
+    """The scheme as a direct O(m^2) convolution of the sampled density."""
+    import numpy as np
+
+    m = round(t / grid_step)
+    h = t / m
+    base = lam * np.exp(-lam * np.linspace(0.0, t, m + 1))
+    cur = base.copy()
+    for _ in range(n - 1):
+        full = np.convolve(cur, base)[: m + 1]
+        cur = h * (full - 0.5 * cur[0] * base - 0.5 * base[0] * cur)
+    return float(cur[-1])
+
+
+# (lam, n, t, m): the convolution ops of the benchmark's sampling workload
+# for seeds 1-3, each at grid step t / m, and criterion 5's points.
+SAMPLING_CONVOLUTIONS = [
+    (0.527169, 2, 9.60382, 10000), (3.524571, 3, 0.888898, 7071),
+    (0.784474, 4, 4.51448, 5774), (0.531125, 5, 3.657891, 5000),
+    (1.242859, 6, 3.553405, 4472), (0.811832, 7, 2.459791, 4082),
+    (0.788041, 8, 5.02816, 3780), (0.538782, 2, 2.015086, 10000),
+    (1.314653, 3, 1.974793, 7071), (1.101939, 4, 13.124636, 5774),
+    (1.492011, 5, 3.593096, 5000), (0.816979, 6, 1.314708, 4472),
+    (0.983113, 7, 1.531948, 4082), (1.444601, 8, 13.790162, 3780),
+    (2.019831, 2, 0.59978, 10000), (2.419469, 3, 2.428389, 7071),
+    (0.935496, 4, 1.17302, 5774), (3.024259, 5, 1.36283, 5000),
+    (2.229116, 6, 6.24064, 4472), (2.207462, 7, 7.152926, 4082),
+    (1.13673, 8, 9.690563, 3780),
+]
+CRITERION_5_POINTS = [(1.0, n, 1.0, 1000) for n in (2, 3, 4, 5)] + [(1.0, 4, 1.0, 500)]
+
+
 class TestConvolution:
     def test_two_fold_recovers_known_density(self):
         got = nfold_exponential_convolution(1.0, 2, 1.0, 1e-3)
@@ -367,12 +402,15 @@ class TestConvolution:
         got = nfold_exponential_convolution(2.0, 3, 0.5, 1e-3)
         assert abs(got - erlang_density(2.0, 3, 0.5)) < 1e-4
 
-    def test_low_orders_are_exact_for_trapezoid(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("x", [1.0, 50.0, 200.0, 700.0])
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    def test_low_orders_are_exact_for_trapezoid(self, lam, n, x):
         # Up to the three-fold case the integrand is piecewise linear, so
-        # the rule carries no truncation error at all.
-        for n in (2, 3):
-            got = nfold_exponential_convolution(1.0, n, 1.0, 1e-3)
-            assert abs(got - erlang_density(1.0, n, 1.0)) < 1e-12
+        # the rule carries no truncation error at all, far into the tail.
+        t = x / lam
+        want = erlang_density(lam, n, t)
+        assert abs(nfold_exponential_convolution(lam, n, t, t / 2000) - want) <= 1e-13 * want
 
     def test_second_order_convergence_where_observable(self):
         """Halving the step divides the error by about four once the
@@ -394,3 +432,56 @@ class TestConvolution:
     def test_rejects_excessive_grid(self):
         with pytest.raises(ResourceLimitError):
             nfold_exponential_convolution(1.0, 2, 2.0, 2e-9)
+
+    def test_rejects_overflowing_lambda_t(self):
+        with pytest.raises(DomainError):
+            nfold_exponential_convolution(1e200, 2, 1e200, 1e198)
+
+    @pytest.mark.parametrize("lam, n, t, m", SAMPLING_CONVOLUTIONS + CRITERION_5_POINTS)
+    def test_matches_the_direct_convolution(self, lam, n, t, m):
+        want = _direct_convolution(lam, n, t, t / m)
+        assert abs(nfold_exponential_convolution(lam, n, t, t / m) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_keeps_digits_where_the_exponential_alone_underflows(self, n):
+        # e^{-1000} is below the smallest double, yet at lam = 1e300 the
+        # density lam^n t^{n-1} e^{-lam t} / (n-1)! is 5.1e-132 (n = 2)
+        # and 2.5e-129 (n = 3).
+        import mpmath
+
+        lam, t = 1e300, 1000 / 1e300
+        with mpmath.workdps(50):
+            lm, tm = mpmath.mpf(lam), mpmath.mpf(t)
+            want = float(lm**n * tm ** (n - 1) * mpmath.exp(-lm * tm) / mpmath.factorial(n - 1))
+        got = nfold_exponential_convolution(lam, n, t, t / 1000)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_million_point_eight_fold_grid_is_fast_and_second_order(self):
+        lam, t, m = 1.3, 10.0, 1_000_000
+        code = (
+            "from backlog_lab.oracles import nfold_exponential_convolution\n"
+            f"print(repr(nfold_exponential_convolution({lam}, 8, {t}, {t} / {m})))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")))
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        h = t / m
+        got = float(proc.stdout)
+        assert abs(got - erlang_density(lam, 8, t)) <= 0.5 * lam * (lam * h) ** 2
+
+    def test_extreme_rates_and_times_give_finite_values_without_warnings(self):
+        rng = random.Random(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2000):
+                lam = 10.0 ** rng.uniform(-300.0, 300.0)
+                t = 10.0 ** rng.uniform(-2.0, 6.0) / lam
+                n = rng.randint(2, 8)
+                got = nfold_exponential_convolution(lam, n, t, t / rng.randint(100, 400))
+                assert math.isfinite(got) and got >= 0.0, (lam, n, t)
+            assert nfold_exponential_convolution(1e300, 3, 1.0, 1e-3) == 0.0
