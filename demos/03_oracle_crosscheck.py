@@ -28,7 +28,7 @@ t = 2.0
 
 print(f"Pointwise expected backlog at lam={params.lam}, P={params.production}, t={t}")
 pointwise = expected_backlog(params, t)
-series = backlog_series_oracle(params, t, 1e-12)
+series = backlog_series_oracle(params, t)
 print(f"  closed form     {pointwise:.15f}")
 print(f"  series oracle   {series.value:.15f}"
       f"  (bound {series.abs_error_bound:.1e}, {series.n_effective} terms)")

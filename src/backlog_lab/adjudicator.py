@@ -164,7 +164,8 @@ def adjudicate(
     oracle_tol.  match_tol must exceed ten times oracle_tol so that oracle
     noise can never decide a verdict.  Points where the oracle fails to
     certify are flagged and excluded from verdicts; times below the
-    inversion floor simply skip the Gaver-Stehfest column.
+    inversion floor, and times so large that the image is not finite at
+    the inversion's abscissae, skip the Gaver-Stehfest column.
     """
     if candidates is None:
         candidates = tuple(CandidateFormula)
@@ -199,13 +200,15 @@ def adjudicate(
                     oracle_value = oracle_bound = None
                     point_flags.append(FLAG_ORACLE_FAILURE)
 
-                gs_value: float | None
+                gs_value: float | None = None
                 if t >= INVERSION_T_MIN:
-                    gs_value = invert_gaver_stehfest(
-                        lambda s: image_cumulative_backlog(params, s), t, inversion
-                    )
-                else:
-                    gs_value = None
+                    try:
+                        gs_value = invert_gaver_stehfest(
+                            lambda s: image_cumulative_backlog(params, s), t, inversion
+                        )
+                    except AccuracyError:
+                        pass
+                if gs_value is None:
                     point_flags.append(FLAG_GS_SKIPPED)
 
                 for candidate in candidates:

@@ -211,10 +211,15 @@ def erlang_density(lam: float, n: int, t: float) -> float:
 
     The convolution count n starts at 1 (a single exponential stage); n = 0
     is rejected.  Internally this is lam * poisson_term(lam*t, n-1), which
-    keeps the evaluation overflow-free for large lam*t.
+    keeps the evaluation overflow-free for large lam*t.  Where that term
+    flushes to 0.0 but lam > 1 may lift the product back above it, the
+    density is formed as one exponential of lam's and the term's logs.
     """
     lam, x = _erlang_args(lam, n, t)
-    return lam * poisson_term(x, n - 1)
+    p = poisson_term(x, n - 1)
+    if p == 0.0 and lam > 1.0 and x > 0.0:
+        return math.exp(math.log(lam) + _log_term(x, n - 1))
+    return lam * p
 
 
 def erlang_cdf(lam: float, n: int, t: float) -> float:

@@ -16,6 +16,7 @@ arithmetic and only then rounded, and the rounded tuple is cached.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,7 +88,7 @@ def image_expected_backlog(params: ModelParams, s: float) -> float:
     """Image of the pointwise expected backlog: (lam/(lam+s))^P lam / s^2."""
     s = check_positive(s, "transform variable")
     lam = params.lam
-    return (lam / (lam + s)) ** params.production * lam / (s * s)
+    return _divide((lam / (lam + s)) ** params.production * lam, s, s)
 
 
 def image_cumulative_backlog(params: ModelParams, s: float) -> float:
@@ -108,7 +109,17 @@ def image_corollary_form(params: ModelParams, s: float) -> float:
     s = check_positive(s, "transform variable")
     fhat = params.lam / (params.lam + s)
     one_minus_fhat = s / (params.lam + s)
-    return fhat ** (params.production + 1) / (s * one_minus_fhat)
+    return _divide(fhat ** (params.production + 1), s, one_minus_fhat)
+
+
+def _divide(num: float, a: float, b: float) -> float:
+    """num / (a b), or num / a / b where a b falls below the smallest normal.
+
+    A tiny s then makes an image overflow to inf, which the inversion
+    refuses, instead of dividing by a product that underflowed to zero.
+    """
+    ab = a * b
+    return num / ab if ab >= sys.float_info.min else num / a / b
 
 
 def _tail_majorant(s: float, big_t: float, degree: int, coeff: float) -> float:
@@ -206,7 +217,8 @@ def invert_gaver_stehfest(
 
     f(t) ~ (ln2 / t) sum_k zeta_k F(k ln2 / t).  Real-valued abscissae only;
     accurate to roughly 1e-4 relative or better for smooth non-oscillatory
-    originals at the default order.
+    originals at the default order.  Raises AccuracyError when an image
+    value is not finite, as the built-in images become at large t.
     """
     if config is None:
         config = InversionConfig()
@@ -215,7 +227,7 @@ def invert_gaver_stehfest(
         raise DomainError(f"inversion time must be >= {INVERSION_T_MIN!r}, got {t!r}")
     weights = stehfest_weights(config.order)
     scale = _LN2 / t
-    total = math.fsum(
-        weights[k - 1] * image(k * scale) for k in range(1, config.order + 1)
-    )
-    return scale * total
+    values = [image(k * scale) for k in range(1, config.order + 1)]
+    if not all(math.isfinite(v) for v in values):
+        raise AccuracyError(f"the image is not finite at the abscissae for t = {t:g}")
+    return scale * math.fsum(w * v for w, v in zip(weights, values))

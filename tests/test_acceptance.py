@@ -49,7 +49,7 @@ def test_criterion_1_pointwise_closed_form_matches_series_oracle():
         for production in range(0, 11):
             params = ModelParams(lam, production)
             for t in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
-                est = backlog_series_oracle(params, t, 1e-12)
+                est = backlog_series_oracle(params, t)
                 assert est.abs_error_bound <= 1e-12
                 worst = max(worst, abs(est.value - expected_backlog(params, t)))
     elapsed = time.monotonic() - start

@@ -322,3 +322,40 @@ class TestFramework:
         if "--lambda" in self.HELP_FLAGS[sub]:
             assert "per unit time" in flat
             assert "units" in flat
+
+
+def _extreme_argv(sub, lam, t):
+    model = ("--lambda", lam, "--production", "1")
+    if sub == "identities":
+        return (sub, "--trials", "2")
+    if sub == "simulate":
+        return (sub, *model, "--t", t, "--paths", "100")
+    if sub == "adjudicate":
+        times = f"{t},1" if float(t) < 1.0 else f"1,{t}"
+        return (sub, *model, "--t-list", times, "--candidate", "compact")
+    return (sub, *model, "--t", t)
+
+
+class TestExtremeArguments:
+    @pytest.mark.parametrize("t", ["1e-300", "1e120", "1e300"])
+    @pytest.mark.parametrize("lam", ["1e-300", "1", "1e300"])
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_every_subcommand_exits_with_a_documented_code(self, sub, lam, t, capsys):
+        code, _, _ = run(capsys, *_extreme_argv(sub, lam, t))
+        assert code in (0, 1, 2, 3)
+
+    def test_inversion_whose_image_overflows_is_accuracy_error(self, capsys):
+        code, out, err = run(capsys, "invert", "--lambda", "1", "--production", "1", "--t", "1e300")
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
+    def test_adjudication_skips_an_inversion_whose_image_overflows(self, capsys):
+        code, out, _ = run(
+            capsys, "adjudicate", "--lambda", "1", "--production", "1",
+            "--t-list", "1,1e120", "--candidate", "compact",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert "gs-skipped" not in rows[0]["flags"]
+        assert "gs-skipped" in rows[1]["flags"].split(";")

@@ -1,4 +1,4 @@
-"""Each narrated demo runs to completion in a fresh interpreter."""
+"""Each narrated demo runs to completion in a fresh interpreter, warning-free."""
 
 import os
 import subprocess
@@ -21,7 +21,10 @@ def test_demo_exits_cleanly(script):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
     )
+    # As the suite does, a RuntimeWarning (how a silent inf or nan shows)
+    # fails the demo.
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, env=env, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        capture_output=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()

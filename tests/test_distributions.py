@@ -277,6 +277,13 @@ class TestErlangDensity:
         assert math.isfinite(v)
         assert v >= 0.0
 
+    @pytest.mark.parametrize("n,want", [(8, 1.0071347018946414e-117), (2, 5.07595889754899e-132)])
+    def test_keeps_digits_where_the_poisson_term_flushes(self, n, want):
+        # At lam t = 1000 the term e^{-1000} 1000^{n-1} / (n-1)! lies under
+        # the floor, while lam = 1e300 lifts the density far above it; the
+        # references are 50-digit mpmath values rounded to doubles.
+        assert erlang_density(1e300, n, 1e-297) == pytest.approx(want, rel=1e-12)
+
 
 class TestErlangCdf:
     def test_zero_time_is_zero(self):
