@@ -2,8 +2,10 @@
 # with the closed forms they are checking: a truncated series with a
 # certified remainder for the pointwise curve; for the cumulative one, the
 # same kind of series summed once over its integrated terms (the reference
-# the adjudicator uses), adaptive quadrature of the pointwise series, and a
-# seeded Monte Carlo simulation.
+# the adjudicator uses: each series returns its bound, and the adjudicator
+# certifies a point when that bound is within its oracle tolerance),
+# adaptive quadrature of the pointwise series, and a seeded Monte Carlo
+# simulation.
 #
 # Also runs the grid-convolution check that the n-fold sum of exponential
 # waits really does have the Erlang density the oracles lean on.
@@ -39,7 +41,7 @@ print("Cumulative expected backlog over [0, t], same parameters")
 closed = cumulative_expected_backlog(params, t, CandidateFormula.COMPACT).value
 print(f"  closed form                 {closed:.12f}")
 
-cseries = cumulative_series_oracle(params, t, 1e-10)
+cseries = cumulative_series_oracle(params, t)
 print(f"  cumulative series oracle    {cseries.value:.12f}"
       f"  (bound {cseries.abs_error_bound:.1e}, {cseries.n_effective} terms)")
 

@@ -2,14 +2,15 @@
 
 Each grid point gets two independent reference values: the cumulative
 series oracle (one pass over the Poisson terms of the integrated
-defining series, with a certified error bound) and Gaver-Stehfest
-inversion of the cumulative image.  Every candidate is evaluated
-literally at every point and its deviation recorded; a candidate Matches
-only if its largest absolute deviation at the points where it is defined
-stays below match_tol.  A candidate that is wrong somewhere it is
-defined Fails even if it is also undefined elsewhere; one that agrees
-wherever it is defined but has undefined points is reported as
-Undefined-at-some-points rather than awarded a clean pass.
+defining series, with a certified error bound, which is held to
+oracle_tol here) and Gaver-Stehfest inversion of the cumulative image.
+Every candidate is evaluated literally at every point and its deviation
+recorded; a candidate Matches only if its largest absolute deviation at
+the points where it is defined stays below match_tol.  A candidate that
+is wrong somewhere it is defined Fails even if it is also undefined
+elsewhere; one that agrees wherever it is defined but has undefined
+points is reported as Undefined-at-some-points rather than awarded a
+clean pass.
 """
 
 from __future__ import annotations
@@ -160,10 +161,11 @@ def adjudicate(
 ) -> ComparisonReport:
     """Compare every candidate against the oracles on every grid point.
 
-    The oracle column comes from cumulative_series_oracle, certified to
-    oracle_tol.  match_tol must exceed ten times oracle_tol so that oracle
-    noise can never decide a verdict.  Points where the oracle fails to
-    certify are flagged and excluded from verdicts; times below the
+    The oracle column comes from cumulative_series_oracle, whose bound
+    must certify it to oracle_tol, a positive finite float.  match_tol must
+    exceed ten times oracle_tol so that oracle noise can never decide a
+    verdict.  Points where the oracle raises or its bound exceeds
+    oracle_tol are flagged and excluded from verdicts; times below the
     inversion floor, and times so large that the image is not finite at
     the inversion's abscissae, skip the Gaver-Stehfest column.
     """
@@ -177,7 +179,7 @@ def adjudicate(
         if not candidates:
             raise DomainError("at least one candidate is required")
     match_tol = float(match_tol)
-    oracle_tol = float(oracle_tol)
+    oracle_tol = check_positive(oracle_tol, "oracle tolerance")
     if not (match_tol > 10.0 * oracle_tol):
         raise DomainError(
             f"match tolerance {match_tol:g} must exceed 10x the oracle tolerance {oracle_tol:g}"
@@ -191,13 +193,15 @@ def adjudicate(
             params = ModelParams(lam, production)
             for t in grid.times:
                 point_flags: list[str] = []
-                oracle_value: float | None
-                oracle_bound: float | None
+                oracle_value: float | None = None
+                oracle_bound: float | None = None
                 try:
-                    est = cumulative_series_oracle(params, t, oracle_tol)
-                    oracle_value, oracle_bound = est.value, est.abs_error_bound
+                    est = cumulative_series_oracle(params, t)
+                    if est.abs_error_bound <= oracle_tol:
+                        oracle_value, oracle_bound = est.value, est.abs_error_bound
                 except AccuracyError:
-                    oracle_value = oracle_bound = None
+                    pass
+                if oracle_value is None:
                     point_flags.append(FLAG_ORACLE_FAILURE)
 
                 gs_value: float | None = None

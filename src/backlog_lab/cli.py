@@ -71,24 +71,24 @@ def _u64(text: str) -> int:
     return value
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
+def _list_of(kind, noun: str):
+    """An argparse type for a comma-separated list of `kind`.
+
+    str.split always gives at least one part, and an empty part does not
+    parse, so the list is never empty.
+    """
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+
+    return parse
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
+_float_list = _list_of(float, "numbers")
+_int_list = _list_of(int, "integers")
 
 
 _CANDIDATE_CHOICES = tuple(c.value for c in CandidateFormula) + ("all",)
@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
             help="fixed production level, in units (non-negative integer)",
         )
 
-    p = sub.add_parser("eval", parents=[], help="pointwise expected backlog at one time")
+    p = sub.add_parser("eval", help="pointwise expected backlog at one time")
     add_model_args(p)
     p.add_argument("--t", type=float, required=True, help="evaluation time, in time units")
 

@@ -12,10 +12,13 @@ term, in the sign of the exponential prefactor, and in trailing correction
 terms.  Four of them share one three-sum bracket and are rows of one
 table (_BRACKET_ROWS); compact, a single sum, and original are written out
 on their own.  Every bracket is evaluated as a combination of regularized
-Poisson terms with exact integer coefficients; raw powers of x never appear
-except in original, whose printed form carries a growing exponential, which
-is reproduced faithfully (and therefore diverges, as the adjudicator will
-happily report).
+Poisson terms with exact integer coefficients, each sum one math.fsum
+over the non-zero terms of one window from index 0 (a term outside it is
+0.0 and adds nothing), so no step or float is spent on the indices up to
+P past the cutoff.  Raw powers of x never appear except in original,
+whose printed form carries a growing exponential, which is reproduced
+faithfully (and therefore diverges, as the adjudicator will happily
+report).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .distributions import ModelParams, _poisson_prefix
+from .distributions import ModelParams, _poisson_window
 from .errors import DomainError, check_nonnegative
 
 __all__ = [
@@ -83,8 +86,8 @@ def expected_backlog(params: ModelParams, t: float) -> float:
     x = check_nonnegative(lam * t, "lambda*t")
     if production == 0:
         return x
-    terms = _poisson_prefix(x, production)
-    bracket = math.fsum((production - i) * terms[i] for i in range(production))
+    first, terms = _poisson_window(x, 0, production)
+    bracket = math.fsum((production - n) * q for n, q in enumerate(terms, first))
     return x - production + bracket
 
 
@@ -98,15 +101,19 @@ def _poly(lam: float, production: int, t: float, sign: int) -> float:
 
 def _eval_original(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
     # Raw powers and a growing exponential, reproduced as printed.  The
-    # bracket is built from u_j = x^j / j! via the same one-step recurrence.
+    # bracket is built from u_j = x^j / j! via the same one-step recurrence,
+    # which stops at the first u that is 0.0 or inf: every later one is the
+    # same, and adds nothing more to a sum.
     x = lam * t
     p = production
     u = [1.0]
     for j in range(1, p):
         u.append(u[-1] * x / j)
-    s1 = math.fsum(u[j] for j in range(p))
-    s2 = math.fsum(u[j] * x for j in range(p - 1))
-    s3 = math.fsum(u[j] * x * x for j in range(p - 2))
+        if u[-1] == 0.0 or u[-1] == math.inf:
+            break
+    s1 = math.fsum(u[:p])
+    s2 = math.fsum(v * x for v in u[: max(p - 1, 0)])
+    s3 = math.fsum(v * x * x for v in u[: max(p - 2, 0)])
     bracket = p * (p + 1) * s1 - 2 * p * s2 + s3
     value = _poly(lam, p, t, +1)
     if bracket != 0.0:
@@ -120,8 +127,9 @@ def _eval_original(lam: float, production: int, t: float) -> tuple[float, tuple[
 
 def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
     p = production
-    terms = _poisson_prefix(lam * t, p)
-    bracket = math.fsum((p - j) * (p - j + 1) * terms[j] for j in range(p))
+    # The window runs to n = P, whose weight is 0, so that it is never empty.
+    first, terms = _poisson_window(lam * t, 0, p + 1)
+    bracket = math.fsum((p - n) * (p - n + 1) * q for n, q in enumerate(terms, first))
     return _poly(lam, p, t, +1) - bracket / (2.0 * lam), ()
 
 
@@ -132,40 +140,48 @@ def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[s
 #
 # with e^{-x} folded into every term.  Each row holds (c1, c2, c3) as
 # offsets from P, the sign of P(P+1)/(2 lam) in the polynomial part, the
-# extra term, and the smallest P at which that term is defined; below it the
-# term holds the factorial of a negative integer, so it is dropped and the
-# value flagged.
+# extra term as a function of P and of q(n) = p_n (0.0 outside the window
+# of non-zero terms), and the smallest P at which that term is defined;
+# below it the term holds the factorial of a negative integer, so it is
+# dropped and the value flagged.
 _BRACKET_ROWS = {
     CandidateFormula.ORIGINAL_NEGEXP: ((0, -1, -2), +1, None, 0),
     CandidateFormula.WOLFRAM: (
         (2, 2, 2),
         -1,
-        lambda p, q: (p - 1) * (p + 2) * q[p + 2] - (p + 2) * (p + 3) * q[p + 3],
+        lambda p, q: (p - 1) * (p + 2) * q(p + 2) - (p + 2) * (p + 3) * q(p + 3),
         0,
     ),
     # -4P x^{P-1}/(P-2)! is -4P (P-1) p_{P-1}.
     CandidateFormula.NOTE: (
-        (0, -1, -2), -1, lambda p, q: -4 * p * (p - 1) * q[p - 1], 2
+        (0, -1, -2), -1, lambda p, q: -4 * p * (p - 1) * q(p - 1), 2
     ),
     # +2 x^{P-1}/(P-1)! is +2 p_{P-1}.
-    CandidateFormula.EQ10: ((-1, -2, -3), -1, lambda p, q: 2.0 * q[p - 1], 1),
+    CandidateFormula.EQ10: ((-1, -2, -3), -1, lambda p, q: 2.0 * q(p - 1), 1),
 }
 
 
 def _eval_bracket_row(row: tuple, lam: float, p: int, t: float) -> tuple[float, tuple[str, ...]]:
     caps, sign, extra, defined_from = row
     # p_{P+3} is the highest term any row reads.
-    terms = _poisson_prefix(lam * t, p + 4)
+    first, terms = _poisson_window(lam * t, 0, p + 4)
     c1, c2, c3 = (p + cap for cap in caps)
-    s1 = math.fsum(terms[j] for j in range(c1))
-    s2 = math.fsum((j + 1) * terms[j + 1] for j in range(c2))
-    s3 = math.fsum((j + 1) * (j + 2) * terms[j + 2] for j in range(c3))
-    bracket = p * (p + 1) * s1 - 2 * p * s2 + s3
+    # The three sums' terms, n p_n and (n-1) n p_n as written with j = n-1
+    # and j = n-2, in one pass over the window.
+    s1, s2, s3 = [], [], []
+    for n, q in enumerate(terms, first):
+        if n < c1:
+            s1.append(q)
+        if n <= c2:
+            s2.append(n * q)
+        if n <= c3 + 1:
+            s3.append((n - 1) * n * q)
+    bracket = p * (p + 1) * math.fsum(s1) - 2 * p * math.fsum(s2) + math.fsum(s3)
     warnings: tuple[str, ...] = ()
     if p < defined_from:
         warnings = (UNDEFINED_TERM,)
     elif extra is not None:
-        bracket += extra(p, terms)
+        bracket += extra(p, lambda n: terms[n - first] if 0 <= n - first < len(terms) else 0.0)
     return _poly(lam, p, t, sign) - bracket / (2.0 * lam), warnings
 
 

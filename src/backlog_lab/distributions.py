@@ -8,11 +8,12 @@ factorials appear nowhere: terms are generated by the one-step recurrence
 
 anchored at n = 0 when e^{-x} is representable and at the modal index
 otherwise.  One kernel, _poisson_window, walks each block of terms out of
-that anchor once, after finding where the block meets the cutoff window;
-poisson_term is a block of one.  Every term is the same product, formed
-in the same order, whichever block it is computed in, so neighbouring
-terms are consistent to machine precision, which the rest of the package
-relies on.
+that anchor once, after finding where the block meets the cutoff window,
+and returns only its non-zero terms; poisson_term is a block of one, and
+the closed forms and erlang_cdf sum a block from index 0 with math.fsum.
+Every term is the same product, formed in the same order, whichever block
+it is computed in, so neighbouring terms are consistent to machine
+precision, which the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -67,19 +68,19 @@ def _log_term(x: float, n: int) -> float:
     return n * math.log(x) - x - math.lgamma(n + 1)
 
 
-def _window_edge(x: float, inside: int, outside: int) -> int:
-    """The index nearest `outside` whose log term clears the cutoff.
+def _count_while(holds, limit: int) -> int:
+    """How many of d = 0, 1, .., limit-1 pass `holds` before the first that fails.
 
-    `inside` clears it and `outside` does not; since _log_term is concave
-    in n, bisection finds the crossing between them.
+    `holds` must be true up to some d and false after it.
     """
-    while abs(outside - inside) > 1:
-        mid = (inside + outside) // 2
-        if _log_term(x, mid) < _LOG_CUTOFF:
-            outside = mid
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid + 1
         else:
-            inside = mid
-    return inside
+            hi = mid
+    return lo
 
 
 def _walk_up(x: float, k: int, p: float, lo: int, hi: int) -> list[float]:
@@ -127,7 +128,8 @@ def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
     """The terms p_lo .. p_{hi-1} at x = lambda*t >= 0, lo < hi, in one walk.
 
     Returns (first, terms): p_n is terms[n - first] where that index exists
-    and 0.0 elsewhere in [lo, hi).  The walk starts from the anchor, p_0 =
+    and 0.0 elsewhere in [lo, hi), so enumerate(terms, first) pairs each
+    non-zero term with its index.  The walk starts from the anchor, p_0 =
     e^{-x} up to the switch and the modal term above it, and forms the same
     products in the same order as a walk from the anchor to each index on
     its own, so every term keeps its bits.  Above the switch the ends of
@@ -147,16 +149,22 @@ def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
 
     anchor = int(x)
     first, last = lo, hi - 1
-    if first < anchor and _log_term(x, first) < _LOG_CUTOFF:
+
+    def clears(n: int) -> bool:
+        return _log_term(x, n) >= _LOG_CUTOFF
+
+    # Where an end of [lo, hi) falls under the cutoff, bisection counts the
+    # indices from `inner` towards it that still clear.
+    if first < anchor and not clears(first):
         inner = min(last, anchor)
-        if inner == first or _log_term(x, inner) < _LOG_CUTOFF:
+        if inner == first or not clears(inner):
             return lo, []
-        first = _window_edge(x, inner, first)
-    if last > anchor and _log_term(x, last) < _LOG_CUTOFF:
+        first = inner - _count_while(lambda d: clears(inner - 1 - d), inner - first)
+    if last > anchor and not clears(last):
         inner = max(first, anchor)
-        if inner == last or _log_term(x, inner) < _LOG_CUTOFF:
+        if inner == last or not clears(inner):
             return lo, []
-        last = _window_edge(x, inner, last)
+        last = inner + _count_while(lambda d: clears(inner + 1 + d), last - inner)
     p = math.exp(_log_term(x, anchor))
     if first >= anchor:
         return first, _walk_up(x, anchor, p, first, last + 1)
@@ -181,29 +189,11 @@ def poisson_term(lambda_t: float, n: int) -> float:
     return terms[0] if terms else 0.0
 
 
-def _poisson_prefix(lambda_t: float, count: int) -> list[float]:
-    """First `count` regularized terms p_0 .. p_{count-1}, from one walk.
-
-    Matches poisson_term bit for bit (same anchoring, same underflow
-    floor), for callers that need a contiguous block of terms.  The walk
-    takes one step per index from the anchor to the ends of the block's
-    non-zero part, so O(count) below the switch; above it, indices past
-    the cutoff cost nothing.
-    """
-    if check_int(count, "term count", 0) == 0:
-        return []
-    x = check_nonnegative(lambda_t, "lambda*t")
-    first, terms = _poisson_window(x, 0, count)
-    if first or len(terms) < count:
-        terms = [0.0] * first + terms + [0.0] * (count - first - len(terms))
-    return terms
-
-
 def _erlang_args(lam: float, n: int, t: float) -> tuple[float, float]:
     """Checked (lam, lam*t) for the n-stage Erlang law, n >= 1."""
     check_int(n, "stage count", 1)
     lam = check_positive(lam, "rate")
-    return lam, lam * check_nonnegative(t, "time")
+    return lam, check_nonnegative(lam * check_nonnegative(t, "time"), "lambda*t")
 
 
 def erlang_density(lam: float, n: int, t: float) -> float:

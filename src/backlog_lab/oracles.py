@@ -3,14 +3,15 @@
 None of these routines know anything about the closed-form candidates:
 the two series oracles sum the first and second factorial moments of
 (N-P)^+, which are the expected backlog and 2 lam times its time
-integral, term by term to rounding with geometric tail bounds, in one
-walk over the Poisson terms (_moment_walk); the quadrature oracle
-integrates the pointwise series oracle in time, the
-Monte Carlo estimator simulates Poisson paths and integrates the backlog
-trajectory exactly, and the convolution routine builds the Erlang
-density from repeated trapezoidal convolution of the exponential
-density.  Agreement between any candidate and these routes is therefore
-evidence, not circularity.
+integral, as one math.fsum over the weighted terms of one walk over the
+Poisson terms (_moment_walk), with geometric tail bounds.  Each returns
+its bound whatever its size; the adjudicator, which has a tolerance,
+decides what it certifies.  The quadrature oracle integrates the
+pointwise series oracle in time, the Monte Carlo estimator simulates
+Poisson paths and integrates the backlog trajectory exactly, and the
+convolution routine builds the Erlang density from repeated trapezoidal
+convolution of the exponential density.  Agreement between any candidate
+and these routes is therefore evidence, not circularity.
 
 On the convolution's uniform grid the exponential kernel factors as
 e^{-lam (t_k - t_i)} = e^{-lam t_k} e^{lam t_i}, so each fold of the
@@ -18,19 +19,22 @@ iterate tilted by e^{lam t_k} is one running sum: O(n m) time for n folds
 of an m-step grid, in two arrays of m + 1 floats, and no truncation error
 for n <= 3.
 
-Only the Monte Carlo estimator and the convolution routine use arrays;
-each imports numpy on its first call, after its argument checks, so that
-importing this module (and the package, and the CLI) does not load numpy.
+Only the Monte Carlo estimator and the convolution routine use numpy
+arrays; each imports numpy on its first call, after its argument checks,
+so that importing this module (and the package, and the CLI) does not
+load numpy.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .distributions import (
     _ANCHOR_SWITCH,
     ModelParams,
+    _count_while,
     _descend,
     _log_term,
     poisson_term,
@@ -65,9 +69,9 @@ _MAX_SERIES_TERMS = 10_000_000
 # exp(-(k-x)^2 / (2x + 2(k-x)/3)) above it, such k lie within sqrt(2Lx)
 # below x and 2L/3 + sqrt(2Lx) above it: at most 7.6 million indices at
 # x = 1e10, short of the budget.  Below this lambda*t the bound cannot
-# refuse and the lgamma anchor keeps its digits (_anchor_error is 4.2e-4
-# at 1e10), so _refuse_hopeless is skipped there, which is always safe:
-# the walk keeps the budget itself.
+# refuse and the lgamma anchor keeps its digits (its error is 4.2e-4
+# at 1e10), so _moment_walk skips both refusals there, which is always
+# safe: the walk keeps the budget itself.
 _REFUSAL_GATE = 1e10
 
 _EPS = 2.220446049250313e-16
@@ -116,9 +120,7 @@ def backlog_series_oracle(params: ModelParams, t: float) -> EstimateWithError:
     return _moment_walk(x, params.production, 1, 1.0)
 
 
-def cumulative_series_oracle(
-    params: ModelParams, t: float, abs_tol: float = 1e-9
-) -> EstimateWithError:
+def cumulative_series_oracle(params: ModelParams, t: float) -> EstimateWithError:
     """Cumulative expected backlog in one pass over the Poisson terms.
 
     Integrating the pointwise series term by term, with
@@ -127,21 +129,14 @@ def cumulative_series_oracle(
         C(t) = (1 / 2 lam) sum_{k >= P+2} (k-P)(k-P-1) p_k(x),    x = lam t,
 
     with x as formed in floating point, as every candidate forms it: the
-    second factorial moment of (N-P)^+, _moment_walk at r = 2.  The bound
-    is a certificate, and the value is accurate to rounding whatever
-    abs_tol is; abs_tol only gates certification.  Raises AccuracyError
-    when the bound exceeds abs_tol, and as _moment_walk does.
+    second factorial moment of (N-P)^+, _moment_walk at r = 2.  The value
+    is summed to rounding and the bound is a certificate, returned whatever
+    its size; a caller with a tolerance compares the two.  Raises
+    AccuracyError as _moment_walk does.
     """
     t = check_nonnegative(t, "time")
-    abs_tol = check_positive(abs_tol, "absolute tolerance")
     x = check_nonnegative(params.lam * t, "lambda*t")
-    est = _moment_walk(x, params.production, 2, 2.0 * params.lam)
-    if not est.abs_error_bound <= abs_tol:
-        raise AccuracyError(
-            f"cumulative series bound {est.abs_error_bound:.3g} exceeds {abs_tol:g}",
-            best_estimate=est.value,
-        )
-    return est
+    return _moment_walk(x, params.production, 2, 2.0 * params.lam)
 
 
 def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWithError:
@@ -154,8 +149,10 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     are walked both down to P+r and up, after Fox and Glynn (1988),
     "Computing Poisson probabilities", CACM 31(4).  The upward walk starts
     at max(anchor, P+r), as poisson_term forms that term; below P+r the
-    weights are zero.  No term of non-zero weight is skipped.  They are
-    summed upward first, then downward, with Neumaier compensation.
+    weights are zero.  No term of non-zero weight is skipped.  The weighted
+    terms, upward first, then downward, are kept and summed once by
+    math.fsum, which rounds their exact sum correctly (Shewchuk 1997,
+    Discrete Comput. Geom. 18); a plain running sum serves the stop tests.
 
     Past the mode, p_j <= p_k rho^{j-k} for j >= k with rho = x/(k+1), so
     the weighted tail from k on is at most p_k sum_j (k-P+j)_r rho^j, in
@@ -163,13 +160,14 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     on the way down is below 1 and falls with k: a geometric majorant for
     the terms left below.  Each walk stops once its majorant is below the
     unit roundoff times the running sum, and the upward one also at a term
-    under the smallest normal.  The bound adds both majorants and a
+    under the smallest normal, where the tail is charged at that term's
+    own bound if it is smaller.  The bound adds both majorants and a
     rounding charge for terms at most K recurrence steps from the anchor:
     (2K + 8) eps times the sum, except 3 sqrt(K+1) eps for r = 1 below the
     switch (see backlog_series_oracle), and above the switch the error of
     the lgamma anchor.  Raises AccuracyError at _MAX_SERIES_TERMS terms,
-    and before any term where the anchor has no correct digit or the walk
-    provably needs that many.
+    and above _REFUSAL_GATE before any term where the anchor has no
+    correct digit or the walk provably needs that many.
     """
     if x == 0.0:
         return EstimateWithError(0.0, 0.0, 0)
@@ -177,47 +175,53 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     anchor, anchor_err = 0, 0.0
     if x > _ANCHOR_SWITCH:
         anchor = int(x)
-        anchor_err = _anchor_error(x, anchor)
-        if x > _REFUSAL_GATE:
-            _refuse_hopeless(
-                x, anchor_err, lambda: _fewest_terms(x, production, r, anchor, anchor_err)
-            )
+        # The relative error of the modal anchor exp(_log_term(x, anchor)):
+        # ln p = m ln x - x - lgamma(m+1) cancels terms of up to this size
+        # (lgamma(m+1) <= m ln x); each is good to a few ulps of itself, 2.4
+        # at worst against mpmath up to lambda*t = 1e7.
+        anchor_err = 4.0 * _EPS * (2.0 * anchor * math.log(x) + x)
+    # A margin on _log_term(x, k) as a bound on ln p_k, for its own
+    # rounding and the anchor's error.
+    slack = 1.0 + 2.0 * anchor_err
+    if x > _REFUSAL_GATE:
+        if not anchor_err < 1.0:
+            raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
+        if _fewest_terms(x, production, r, anchor, slack) >= _MAX_SERIES_TERMS:
+            raise AccuracyError(f"series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms")
     start = max(anchor, first)
     p_start = poisson_term(x, start)
 
-    total = 0.0
-    comp = 0.0  # Neumaier compensation
-    count = 0
-
-    def add(term: float) -> None:
-        nonlocal total, comp, count
-        fresh = total + term
-        if abs(total) >= abs(term):
-            comp += (total - fresh) + term
-        else:
-            comp += (term - fresh) + total
-        total = fresh
-        count += 1
-        if count >= _MAX_SERIES_TERMS:
-            raise AccuracyError(
-                f"series did not converge within {_MAX_SERIES_TERMS} terms",
-                best_estimate=(total + comp) / scale,
-            )
-
+    terms = array("d")  # the weighted terms, for math.fsum: 80 MB at the budget
+    total = 0.0  # their plain running sum, for the stop tests only
+    floor_tail = 0.0  # a tail charged under the smallest normal, over scale
     k, p = start, p_start
     while True:
         i = k - production
         rho = x / (k + 1)
         if rho < 1.0:
             if p < _SMALLEST_NORMAL:
-                # Every later term is smaller still; charge them at the
-                # smallest normal, twice over for the rounding into it.
-                up_tail = 2.0 * _SMALLEST_NORMAL * _weighted_tail(i, r, rho)
+                # Every later term is smaller still.  Charge them at this
+                # term's own bound, or at the smallest normal if that is
+                # less, twice over for the rounding into it.  Below the
+                # smallest normal the charge over scale is formed in logs,
+                # so that it does not flush to 0 before the division, and
+                # is never less than the smallest double: the tail is not 0.
+                weight = 2.0 * _weighted_tail(i, r, rho)
+                log_p = _log_term(x, k) + slack
+                if log_p >= math.log(_SMALLEST_NORMAL):
+                    up_tail = _SMALLEST_NORMAL * weight
+                else:
+                    up_tail = 0.0
+                    log_tail = log_p + math.log(weight) - math.log(scale)
+                    floor_tail = max(math.exp(log_tail), math.ulp(0.0))
                 break
             up_tail = p * _weighted_tail(i, r, rho)
             if up_tail <= _UNIT_ROUNDOFF * total:
                 break
-        add((i * (i - 1) if r == 2 else i) * p)
+        terms.append(math.perm(i, r) * p)
+        total += terms[-1]
+        if len(terms) >= _MAX_SERIES_TERMS:
+            raise _over_budget(terms, scale)
         k += 1
         p *= x / k
     reach = k - anchor
@@ -229,46 +233,33 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     for q in _descend(x, anchor, p, anchor, first):
         i = k - production
         s = (i - r) / i * k / x
-        down_tail = (i * (i - 1) if r == 2 else i) * p * s / (1.0 - s)
+        down_tail = math.perm(i, r) * p * s / (1.0 - s)
         if down_tail <= _UNIT_ROUNDOFF * total:
             break
         k, p = k - 1, q
-        i -= 1
-        add((i * (i - 1) if r == 2 else i) * p)
+        terms.append(math.perm(i - 1, r) * p)
+        total += terms[-1]
+        if len(terms) >= _MAX_SERIES_TERMS:
+            raise _over_budget(terms, scale)
     if k == first:
         down_tail = 0.0
     reach = max(reach, anchor - k)
 
-    value = total + comp
+    value = math.fsum(terms)
     if r == 1 and x <= _ANCHOR_SWITCH:
         rounding = 3.0 * math.sqrt(reach + 1) * _EPS * value
     else:
         rounding = (2 * reach + 8) * _EPS * value
-    bound = (up_tail + down_tail + rounding + anchor_err * value) / scale
-    return EstimateWithError(value / scale, bound, count)
+    bound = (up_tail + down_tail + rounding + anchor_err * value) / scale + floor_tail
+    return EstimateWithError(value / scale, bound, len(terms))
 
 
-def _anchor_error(x: float, anchor: int) -> float:
-    """Relative error charged to the modal anchor exp(_log_term(x, anchor)).
-
-    ln p = m ln x - x - lgamma(m+1) cancels terms of up to this size
-    (lgamma(m+1) <= m ln x); each is good to a few ulps of itself, 2.4 at
-    worst against mpmath up to lambda*t = 1e7.
-    """
-    return 4.0 * _EPS * (2.0 * anchor * math.log(x) + x)
-
-
-def _refuse_hopeless(x: float, anchor_err: float, fewest_terms) -> None:
-    """Raise AccuracyError, before any term, for a walk that cannot succeed.
-
-    That is when the modal anchor has no correct digit (from about
-    lambda*t = 2e13) or when fewest_terms(), a lower bound on the walk's
-    length, reaches the term budget.  Called only above _REFUSAL_GATE.
-    """
-    if not anchor_err < 1.0:
-        raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
-    if fewest_terms() >= _MAX_SERIES_TERMS:
-        raise AccuracyError(f"series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms")
+def _over_budget(terms: array, scale: float) -> AccuracyError:
+    """The error for a walk that has spent _MAX_SERIES_TERMS terms."""
+    return AccuracyError(
+        f"series did not converge within {_MAX_SERIES_TERMS} terms",
+        best_estimate=math.fsum(terms) / scale,
+    )
 
 
 def _weighted_tail(i: int, r: int, rho: float) -> float:
@@ -279,22 +270,7 @@ def _weighted_tail(i: int, r: int, rho: float) -> float:
     return i * (i - 1) / d + 2.0 * i * rho / (d * d) + 2.0 * rho * rho / (d * d * d)
 
 
-def _count_while(holds, limit: int) -> int:
-    """How many of d = 0, 1, .., limit-1 pass `holds` before the first that fails.
-
-    `holds` must be true up to some d and false after it.
-    """
-    lo, hi = 0, limit
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _fewest_terms(x: float, production: int, r: int, anchor: int, anchor_err: float) -> int:
+def _fewest_terms(x: float, production: int, r: int, anchor: int, slack: float) -> int:
     """A lower bound on the terms _moment_walk adds above the switch.
 
     Neither walk stops while its tail test fails.  Within d steps of its
@@ -309,7 +285,6 @@ def _fewest_terms(x: float, production: int, r: int, anchor: int, anchor_err: fl
     weight below times p.  Bisection finds, for each walk, the first d at
     which these bounds allow a stop.
     """
-    slack = 1.0 + 2.0 * anchor_err
 
     def p_low(k: int) -> float:
         return math.exp(_log_term(x, k) - slack)
@@ -426,10 +401,8 @@ def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> E
         count = min(rows_per_chunk, n_paths - start)
         u = gen.random((count, draws_per_path))
         epochs = np.cumsum(-np.log1p(-u) / lam, axis=1)
-        if draws_per_path > production:
-            chunk = np.maximum(t - epochs[:, production:], 0.0).sum(axis=1)
-        else:
-            chunk = np.zeros(count)
+        # Arrivals past the P-th; an empty slice when P >= draws_per_path sums to 0.
+        chunk = np.maximum(t - epochs[:, production:], 0.0).sum(axis=1)
         # Paths whose fixed block of draws ran out before t continue on a
         # dedicated per-path stream; with the margin in draws_per_path this
         # is astronomically rare, but correctness should not rely on that.

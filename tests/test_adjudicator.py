@@ -19,6 +19,7 @@ from backlog_lab.adjudicator import (
     _COLUMNS,
     FLAG_BOUNDARY,
     FLAG_GS_SKIPPED,
+    FLAG_ORACLE_FAILURE,
     ComparisonReport,
     SweepGrid,
     _cell,
@@ -90,6 +91,20 @@ class TestAdjudicate:
     def test_tolerance_separation_enforced(self):
         with pytest.raises(DomainError):
             adjudicate(default_grid(), match_tol=1e-6, oracle_tol=1e-6)
+
+    @pytest.mark.parametrize("oracle_tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_oracle_tolerance_must_be_positive_and_finite(self, oracle_tol):
+        with pytest.raises(DomainError):
+            adjudicate(default_grid(), oracle_tol=oracle_tol)
+
+    def test_bound_past_the_oracle_tolerance_is_flagged(self):
+        # At lam t = 1e4 the series oracle returns a bound above 1e-9.
+        grid = SweepGrid(lambdas=(1.0,), productions=(0,), times=(1.0, 1e4))
+        report = adjudicate(grid, candidates=(CandidateFormula.COMPACT,))
+        early, late = report.rows
+        assert FLAG_ORACLE_FAILURE not in early.flags and early.oracle_bound < 1e-9
+        assert FLAG_ORACLE_FAILURE in late.flags
+        assert late.oracle_value is late.oracle_bound is late.abs_dev is None
 
     def test_every_point_times_candidate_appears_once(self):
         grid = SweepGrid(lambdas=(1.0,), productions=(1, 2), times=(0.5, 1.0))

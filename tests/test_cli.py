@@ -270,6 +270,18 @@ class TestAdjudicate:
         assert code == 1
         assert out == ""
 
+    def test_tiny_rate_is_certified(self, capsys):
+        code, out, err = run(
+            capsys, "adjudicate", "--lambda", "1e-300", "--production", "1",
+            "--t-list", "1,1e120", "--candidate", "compact",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2
+        for row in rows:
+            assert "oracle-failure" not in row["flags"]
+            assert 0.0 < float(row["oracle_bound"]) <= 1e-9
+
     @pytest.mark.parametrize("axis", [
         ("--lambda", "1,1", "--production", "2", "--t-list", "1"),
         ("--lambda", "1", "--production", "2,2", "--t-list", "1"),

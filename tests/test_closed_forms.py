@@ -6,6 +6,11 @@ integrals, and direct rational arithmetic for the polynomial parts.
 """
 
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +222,34 @@ class TestCumulativeCandidates:
         large = cumulative_expected_backlog(params, 30.0, CandidateFormula.ORIGINAL).value
         assert abs(large) > 1e9
         assert abs(large) > abs(small)
+
+
+class TestHugeProduction:
+    @pytest.mark.parametrize("argv, n_values", [
+        (("eval",), 1),
+        (("cumulative", "--candidate", "all"), len(ALL)),
+    ])
+    def test_costs_no_step_per_unit_of_stock(self, argv, n_values):
+        # Only the non-zero Poisson terms are walked and summed: at P = 1e15
+        # a step or a float per unit of stock would take days or petabytes.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")))
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "backlog_lab.cli", *argv,
+             "--production", "1000000000000000", "--lambda", "1", "--t", "1"],
+            capture_output=True, env=env, timeout=20, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        lines = proc.stdout.decode().splitlines()
+        # eval prints the bare value; cumulative a CSV table, value in column 5.
+        values = lines if n_values == 1 else [line.split(",")[4] for line in lines[1:]]
+        assert len(values) == n_values
+        assert all(math.isfinite(float(v)) for v in values)
 
 
 class TestCrossChecks:

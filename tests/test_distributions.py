@@ -15,7 +15,6 @@ from backlog_lab.distributions import (
     UNDERFLOW_FLOOR,
     ModelParams,
     _log_term,
-    _poisson_prefix,
     _poisson_window,
     erlang_cdf,
     erlang_density,
@@ -213,10 +212,12 @@ class TestPoissonWindow:
                     assert dense[n - lo].hex() == _term_by_its_own_walk(x, n).hex(), (x, lo, hi, n)
 
     def test_prefix_matches_terms(self):
+        # The block from index 0 that the closed forms sum, at every index.
         for x in (0.0, 3.5, 699.9, 700.5, 740.5, 3e3):
             count = int(x) + 200
-            terms = _poisson_prefix(x, count)
-            assert [v.hex() for v in terms] == [poisson_term(x, n).hex() for n in range(count)]
+            first, terms = _poisson_window(x, 0, count)
+            dense = [0.0] * first + terms + [0.0] * (count - first - len(terms))
+            assert [v.hex() for v in dense] == [poisson_term(x, n).hex() for n in range(count)]
 
     def test_large_blocks_match_mpmath(self):
         # Each term past the switch carries the lgamma anchor's relative
@@ -334,6 +335,11 @@ class TestErlangCdf:
         for n in (1, 2, int(x) + 1, int(x + 10 * math.sqrt(x)) + 3):
             mass = math.fsum(poisson_term(x, j) for j in range(n))
             assert erlang_cdf(1.0, n, x) == min(max(1.0 - mass, 0.0), 1.0)
+
+    @pytest.mark.parametrize("f", [erlang_cdf, erlang_density])
+    def test_overflowing_lambda_t_is_domain_error(self, f):
+        with pytest.raises(DomainError, match="lambda\\*t"):
+            f(1e300, 2, 1e300)
 
     def test_matches_quadrature_of_density(self):
         """Spot check of the CDF against integrating the density; the

@@ -159,7 +159,7 @@ class TestCumulativeSeriesOracle:
                 x = 10.0 ** rng.uniform(-3.0, 4.0)
                 t = x / lam
                 for production in sorted({0, 1, int(x / 2), int(x), int(2 * x)}):
-                    est = cumulative_series_oracle(ModelParams(lam, production), t, 1e300)
+                    est = cumulative_series_oracle(ModelParams(lam, production), t)
                     truth = references.cumulative_backlog(lam, production, t)
                     err = abs(est.value - truth)
                     assert err <= est.abs_error_bound + 0.5 * math.ulp(truth), (
@@ -188,11 +188,26 @@ class TestCumulativeSeriesOracle:
                     gap = abs(series.value - quad.value)
                     assert gap <= series.abs_error_bound + quad.abs_error_bound
 
-    def test_uncertifiable_tolerance_raises_accuracy_error(self):
-        # At lam t = 1e4 the lgamma anchor alone costs about 1e-10 relative.
-        with pytest.raises(AccuracyError) as info:
-            cumulative_series_oracle(ModelParams(1.0, 0), 1e4, 1e-9)
-        assert info.value.best_estimate == pytest.approx(5e7, rel=1e-9)
+    def test_returns_a_bound_of_any_size(self):
+        # At lam t = 1e4 the lgamma anchor alone costs about 1e-10 relative,
+        # past what the adjudicator certifies; the oracle reports it.
+        est = cumulative_series_oracle(ModelParams(1.0, 0), 1e4)
+        assert est.value == pytest.approx(5e7, rel=1e-9)
+        assert est.abs_error_bound > 1e-9
+
+    def test_tiny_rate_is_certified(self):
+        # Every term lies under the smallest normal; the tail is charged at
+        # the first term's own bound over 2 lam, not the smallest normal's
+        # 4.45e-8.  C(t) is about (lam t)^3 / (6 lam): below the smallest
+        # double at t = 1, 1.7e-241 at t = 1e120.
+        lam = 1e-300
+        est = cumulative_series_oracle(ModelParams(lam, 1), 1.0)
+        assert est.value == 0.0
+        assert 0.0 < est.abs_error_bound <= 1e-9
+        est = cumulative_series_oracle(ModelParams(lam, 1), 1e120)
+        truth_log = 3.0 * math.log(lam * 1e120) - math.log(6.0 * lam)
+        assert est.abs_error_bound <= 1e-9
+        assert math.log(est.abs_error_bound) >= truth_log
 
     def test_term_cap_raises_accuracy_error(self, monkeypatch):
         monkeypatch.setattr(backlog_lab.oracles, "_MAX_SERIES_TERMS", 3)
@@ -203,20 +218,20 @@ class TestCumulativeSeriesOracle:
     def test_past_the_term_budget_is_refused_before_any_term(self, t):
         # These need about 16.5 sqrt(lam t) terms, past ten million.
         with pytest.raises(AccuracyError, match="needs more than") as info:
-            cumulative_series_oracle(ModelParams(1.0, 0), t, 1e300)
+            cumulative_series_oracle(ModelParams(1.0, 0), t)
         assert info.value.best_estimate is None
 
     def test_within_the_term_budget_is_not_refused(self):
         # About 5.2 million terms, inside the budget, so the walk runs; the
         # value is pinned from a run of the walk without the a-priori check.
-        est = cumulative_series_oracle(ModelParams(1.0, 0), 1e11, 1e300)
+        est = cumulative_series_oracle(ModelParams(1.0, 0), 1e11)
         assert est.value.hex() == "0x1.0f17429ac7da0p+72"
         assert est.n_effective == 5_219_431
 
     @pytest.mark.parametrize("t", [1e14, 1e300])
     def test_anchor_without_a_correct_digit_is_refused(self, t):
         with pytest.raises(AccuracyError, match="no correct digit"):
-            cumulative_series_oracle(ModelParams(1.0, 0), t, 1e300)
+            cumulative_series_oracle(ModelParams(1.0, 0), t)
 
     def test_non_finite_demand_is_domain_error(self):
         with pytest.raises(DomainError):
