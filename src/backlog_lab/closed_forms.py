@@ -111,9 +111,14 @@ def _eval_original(lam: float, production: int, t: float) -> tuple[float, tuple[
         u.append(u[-1] * x / j)
         if u[-1] == 0.0 or u[-1] == math.inf:
             break
-    s1 = math.fsum(u[:p])
-    s2 = math.fsum(v * x for v in u[: max(p - 1, 0)])
-    s3 = math.fsum(v * x * x for v in u[: max(p - 2, 0)])
+    try:
+        s1 = math.fsum(u[:p])
+        s2 = math.fsum(v * x for v in u[: max(p - 1, 0)])
+        s3 = math.fsum(v * x * x for v in u[: max(p - 2, 0)])
+    except OverflowError:
+        # Finite terms summing past the largest double: the bracket, a sum
+        # of (P-n)(P-n+1) u_n >= 0, diverges, as where grow = inf below.
+        return -math.inf, ()
     bracket = p * (p + 1) * s1 - 2 * p * s2 + s3
     value = _poly(lam, p, t, +1)
     if bracket != 0.0:

@@ -79,8 +79,13 @@ _UNIT_ROUNDOFF = 0.5 * _EPS
 # Smallest positive normal double; below it a term loses relative precision.
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 
-# Uniforms drawn per chunk of Monte Carlo paths; a path takes at most one chunk.
+# Most uniforms one Monte Carlo path may draw.
 _MC_CHUNK_DRAWS = 8_000_000
+# Doubles in the one block that a Monte Carlo call transforms in place, a
+# chunk of whole paths at a time (or one longer path): 2 MiB stays in cache
+# across the eight passes over it, where a block of _MC_CHUNK_DRAWS streams
+# each pass through memory and ran about 20% slower.
+_MC_BLOCK_DRAWS = 1 << 18
 
 # Half-width multiplier for a two-sided 99% normal confidence interval.
 _Z99 = 2.5758293035489004
@@ -362,6 +367,11 @@ class McConfig:
         check_int(self.seed, "seed", 0, 2**64 - 1)
 
 
+def _mc_draws_per_path(x: float) -> int:
+    """Uniforms drawn per path at lambda*t = x: the mean plus ten standard deviations and 30."""
+    return max(4, int(math.ceil(x + 10.0 * math.sqrt(x) + 30.0)))
+
+
 def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> EstimateWithError:
     """Simulate Poisson demand paths and integrate the backlog exactly.
 
@@ -371,9 +381,13 @@ def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> E
     discretization at all.  Paths are laid out as consecutive counter
     blocks of a Philox stream keyed by the master seed, which makes the
     result a pure function of (seed, n_paths, params, t) regardless of
-    how the work is scheduled.  The reported bound is the 99% confidence
-    half-width.  lambda*t must be finite, and a path's block of draws must
-    fit in one chunk of 8e6, else ResourceLimitError.
+    how the work is scheduled.  The paths run in chunks through one
+    block of at most 8e6 doubles (2 MiB unless one path needs more),
+    allocated once per call and transformed in place from uniforms to
+    epochs to clipped tails; the stream layout and every bit of the
+    result are those of a fresh array per step.  The reported bound is
+    the 99% confidence half-width.  lambda*t must be finite, and a path
+    may draw at most 8e6 uniforms, else ResourceLimitError.
     """
     t = check_nonnegative(t, "time")
     n_paths = config.n_paths
@@ -384,7 +398,7 @@ def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> E
     lam = params.lam
     production = params.production
     x = check_nonnegative(lam * t, "lambda*t")
-    draws_per_path = max(4, int(math.ceil(x + 10.0 * math.sqrt(x) + 30.0)))
+    draws_per_path = _mc_draws_per_path(x)
     if draws_per_path > _MC_CHUNK_DRAWS:
         raise ResourceLimitError(
             f"a path at lambda*t = {x:g} needs {draws_per_path} draws, past the {_MC_CHUNK_DRAWS} of a chunk"
@@ -394,24 +408,37 @@ def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> E
 
     gen = np.random.Generator(np.random.Philox(key=config.seed))
     contributions = np.empty(n_paths, dtype=np.float64)
-    rows_per_chunk = _MC_CHUNK_DRAWS // draws_per_path
+    rows_per_chunk = min(max(1, _MC_BLOCK_DRAWS // draws_per_path), n_paths)
+    block = np.empty((rows_per_chunk, draws_per_path), dtype=np.float64)
 
     start = 0
     while start < n_paths:
         count = min(rows_per_chunk, n_paths - start)
-        u = gen.random((count, draws_per_path))
-        epochs = np.cumsum(-np.log1p(-u) / lam, axis=1)
-        # Arrivals past the P-th; an empty slice when P >= draws_per_path sums to 0.
-        chunk = np.maximum(t - epochs[:, production:], 0.0).sum(axis=1)
+        e = block[:count]
+        gen.random(out=e)
+        # Epochs -ln(1 - u)/lam, in place: negation is exact and IEEE
+        # division is sign-symmetric, so these are the bits of -log1p(-u)/lam.
+        np.negative(e, out=e)
+        np.log1p(e, out=e)
+        np.divide(e, -lam, out=e)
+        np.cumsum(e, axis=1, out=e)
         # Paths whose fixed block of draws ran out before t continue on a
         # dedicated per-path stream; with the margin in draws_per_path this
         # is astronomically rare, but correctness should not rely on that.
-        for local in np.nonzero(epochs[:, -1] < t)[0]:
-            path = start + int(local)
+        # Their last epochs are read before the tail below is overwritten.
+        short = np.nonzero(e[:, -1] < t)[0]
+        lasts = e[short, -1]
+        # Arrivals past the P-th; an empty slice when P >= draws_per_path sums to 0.
+        tail = e[:, production:]
+        np.subtract(t, tail, out=tail)
+        np.maximum(tail, 0.0, out=tail)
+        chunk = contributions[start : start + count]
+        tail.sum(axis=1, out=chunk)
+        for local, last in zip(short.tolist(), lasts.tolist()):
+            path = start + local
             extra = np.random.default_rng(
                 np.random.SeedSequence(entropy=config.seed, spawn_key=(path, 1))
             )
-            last = float(epochs[local, -1])
             arrivals = draws_per_path
             while True:
                 nxt = last + -math.log1p(-extra.random()) / lam
@@ -421,7 +448,6 @@ def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> E
                 if arrivals > production:
                     chunk[local] += t - nxt
                 last = nxt
-        contributions[start : start + count] = chunk
         start += count
 
     # Far from 1, t is first divided out as a power of two near it, which

@@ -87,6 +87,20 @@ class TestCumulative:
         )
         assert code == 3
 
+    def test_raw_power_sums_past_the_largest_double_print_the_divergence(self, capsys):
+        argv = ("cumulative", "--lambda", "1", "--candidate", "original")
+        code, out, err = run(capsys, *argv, "--production", "1000", "--t", "750")
+        assert code == 0
+        assert "Traceback" not in err
+        assert out == run(capsys, *argv, "--production", "5", "--t", "800")[1] == "-inf\n"
+        code, out, err = run(
+            capsys, "adjudicate", "--lambda", "1", "--production", "1000", "--t-list", "750"
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        rows = {row["candidate"]: row for row in csv.DictReader(io.StringIO(out))}
+        assert rows["original"]["candidate_value"] == "-inf"
+
     def test_unknown_candidate(self, capsys):
         code, _, _ = run(
             capsys, "cumulative", "--lambda", "1", "--production", "1",

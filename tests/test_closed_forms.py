@@ -223,6 +223,21 @@ class TestCumulativeCandidates:
         assert abs(large) > 1e9
         assert abs(large) > abs(small)
 
+    @pytest.mark.parametrize("production, t", [(1000, 750.0), (700, 750.0), (713, 713.2)])
+    def test_raw_power_sums_past_the_largest_double_diverge_like_the_exponential(
+        self, production, t
+    ):
+        # The bracket's finite terms x^j/j! sum past the largest double
+        # (math.fsum raises OverflowError there); that is the same divergence
+        # as e^x overflowing at P = 5, t = 800.
+        at_overflowing_exp = cumulative_expected_backlog(
+            ModelParams(1.0, 5), 800.0, CandidateFormula.ORIGINAL
+        ).value
+        got = cumulative_expected_backlog(
+            ModelParams(1.0, production), t, CandidateFormula.ORIGINAL
+        ).value
+        assert got == at_overflowing_exp == -math.inf
+
 
 class TestHugeProduction:
     @pytest.mark.parametrize("argv, n_values", [

@@ -392,6 +392,122 @@ class TestMonteCarlo:
         assert "ci-unreliable" in est.notes
 
 
+def _allocating_monte_carlo(params, t, config):
+    """The estimator as it stood with a fresh array per step, as a reference.
+
+    Verbatim but for the draw count, which it reads through the module's
+    helper so that a test may shorten both at once.
+    """
+    import numpy as np
+
+    n_paths = config.n_paths
+    notes = ("ci-unreliable",) if n_paths < 100 else ()
+    if t == 0.0:
+        return EstimateWithError(0.0, 0.0, n_paths, notes)
+
+    lam = params.lam
+    production = params.production
+    x = lam * t
+    draws_per_path = backlog_lab.oracles._mc_draws_per_path(x)
+
+    gen = np.random.Generator(np.random.Philox(key=config.seed))
+    contributions = np.empty(n_paths, dtype=np.float64)
+    rows_per_chunk = 8_000_000 // draws_per_path
+
+    start = 0
+    while start < n_paths:
+        count = min(rows_per_chunk, n_paths - start)
+        u = gen.random((count, draws_per_path))
+        epochs = np.cumsum(-np.log1p(-u) / lam, axis=1)
+        chunk = np.maximum(t - epochs[:, production:], 0.0).sum(axis=1)
+        for local in np.nonzero(epochs[:, -1] < t)[0]:
+            path = start + int(local)
+            extra = np.random.default_rng(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(path, 1))
+            )
+            last = float(epochs[local, -1])
+            arrivals = draws_per_path
+            while True:
+                nxt = last + -math.log1p(-extra.random()) / lam
+                if nxt > t:
+                    break
+                arrivals += 1
+                if arrivals > production:
+                    chunk[local] += t - nxt
+                last = nxt
+        contributions[start : start + count] = chunk
+        start += count
+
+    unit = 1.0
+    if not 2.0**-400 < t < 2.0**400:
+        unit = math.ldexp(1.0, math.frexp(t)[1])
+        contributions /= unit
+    value = unit * float(contributions.mean())
+    if n_paths > 1:
+        half_width = 2.5758293035489004 * (unit * float(contributions.std(ddof=1))) / math.sqrt(n_paths)
+    else:
+        half_width = math.inf
+    return EstimateWithError(value, half_width, n_paths, notes)
+
+
+class TestMonteCarloInPlace:
+    """The in-place chunk loop gives the bits of the allocating one."""
+
+    @pytest.mark.parametrize("lam, production, t, n_paths, seed", [
+        (1.0, 2, 2.0, 10**5, 7),  # one chunk of the allocating loop
+        (1.0, 2, 2.0, 10**6, 3),  # six, the last one partial
+        (500 / 140, 267, 138.6, 10**5, 5),  # lambda t = 495: ten
+        (1.0, 900, 500.0, 2000, 1),  # P at least the draws per path: 0.0
+        (1.0, 0, 2.0, 1, 9),  # one path: an infinite half-width
+        (1e-300, 1, 1e300, 100, 1),  # t divided out as a power of two
+    ])
+    def test_bit_identical_to_the_allocating_loop(self, lam, production, t, n_paths, seed):
+        params, config = ModelParams(lam, production), McConfig(n_paths=n_paths, seed=seed)
+        got = monte_carlo_cumulative(params, t, config)
+        assert got == _allocating_monte_carlo(params, t, config)
+        if production == 900:
+            assert got.value == 0.0
+        if n_paths == 1:
+            assert got.abs_error_bound == math.inf
+
+    @pytest.mark.parametrize("production", [0, 2])
+    def test_paths_past_their_block_continue_on_their_own_streams(self, monkeypatch, production):
+        # One draw per path: about 86% of the paths see an arrival before
+        # t = 2 and continue on their spawn_key=(path, 1) streams from that
+        # epoch.  With P = 2 every contribution comes from those streams;
+        # with P = 0 the epoch is also the clipped tail that overwrites it.
+        monkeypatch.setattr(backlog_lab.oracles, "_mc_draws_per_path", lambda x: 1)
+        params, config = ModelParams(1.0, production), McConfig(n_paths=20_000, seed=4)
+        got = monte_carlo_cumulative(params, 2.0, config)
+        assert got == _allocating_monte_carlo(params, 2.0, config)
+        truth = cumulative_quadrature_oracle(params, 2.0, 1e-10).value
+        assert abs(got.value - truth) <= got.abs_error_bound
+
+    @staticmethod
+    def _peak_bytes(params, t, n_paths):
+        import tracemalloc
+
+        # numpy reports its buffers to tracemalloc.
+        monte_carlo_cumulative(params, t, McConfig(n_paths=10, seed=1))
+        tracemalloc.start()
+        try:
+            monte_carlo_cumulative(params, t, McConfig(n_paths=n_paths, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_many_chunks_reuse_one_block(self):
+        # 754 draws per path: 87 chunks of 347 paths.  The allocating loop,
+        # a fresh array per step in chunks of 8e6 draws, peaked at 244 MiB.
+        n_paths = 30_000
+        peak = self._peak_bytes(ModelParams(1.0, 250), 500.0, n_paths)
+        block = backlog_lab.oracles._MC_BLOCK_DRAWS
+        assert peak < 1.25 * 8 * (block + n_paths) < 1.25 * 8 * 8_000_000
+
+    def test_a_small_run_sizes_its_block_to_its_paths(self):
+        assert self._peak_bytes(ModelParams(1.0, 1), 2.0, 1000) < 2**20
+
+
 def _direct_convolution(lam, n, t, grid_step):
     """The scheme as a direct O(m^2) convolution of the sampled density."""
     import numpy as np
