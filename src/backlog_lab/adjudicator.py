@@ -60,6 +60,11 @@ VERDICT_MATCHES = "Matches"
 VERDICT_FAILS = "Fails"
 VERDICT_UNDEFINED = "Undefined-at-some-points"
 
+# adjudicate's default tolerances: the largest absolute deviation from the
+# oracle that still matches, and the bound the oracle must certify.
+MATCH_TOL = 1e-6
+ORACLE_TOL = 1e-9
+
 _BOUNDARY_TOL = 1e-9
 
 _COLUMNS = (
@@ -155,8 +160,8 @@ class ComparisonReport:
 def adjudicate(
     grid: SweepGrid,
     candidates: tuple[CandidateFormula, ...] | None = None,
-    match_tol: float = 1e-6,
-    oracle_tol: float = 1e-9,
+    match_tol: float = MATCH_TOL,
+    oracle_tol: float = ORACLE_TOL,
     inversion: InversionConfig | None = None,
 ) -> ComparisonReport:
     """Compare every candidate against the oracles on every grid point.

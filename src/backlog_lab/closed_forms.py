@@ -9,16 +9,16 @@ against oracles that know nothing about any of them.
 Writing x = lam*t and p_j = e^{-x} x^j / j!, the variants differ in the
 upper limits of three bracketed sums, in the sign of the P(P+1)/(2 lam)
 term, in the sign of the exponential prefactor, and in trailing correction
-terms.  Four of them share one three-sum bracket and are rows of one
-table (_BRACKET_ROWS); compact, a single sum, and original are written out
-on their own.  Every bracket is evaluated as a combination of regularized
-Poisson terms with exact integer coefficients, each sum one math.fsum
-over the non-zero terms of one window from index 0 (a term outside it is
-0.0 and adds nothing), so no step or float is spent on the indices up to
-P past the cutoff.  Raw powers of x never appear except in original,
-whose printed form carries a growing exponential, which is reproduced
-faithfully (and therefore diverges, as the adjudicator will happily
-report).
+terms.  One table (_EVALUATORS) maps each tag to its evaluator.  Four
+variants share one three-sum bracket and differ only in its parameters;
+compact, a single sum, and original are written out on their own.  Every
+bracket is evaluated as a combination of regularized Poisson terms with
+exact integer coefficients, each sum one math.fsum over the non-zero
+terms of one window from index 0 (a term outside it is 0.0 and adds
+nothing), so no step or float is spent on the indices up to P past the
+cutoff.  Raw powers of x never appear except in original, whose printed
+form carries a growing exponential, which is reproduced faithfully (and
+therefore diverges, as the adjudicator will happily report).
 """
 
 from __future__ import annotations
@@ -127,7 +127,10 @@ def _eval_original(lam: float, production: int, t: float) -> tuple[float, tuple[
         except OverflowError:
             grow = math.inf
         value = value - grow * bracket / (2.0 * lam)
-    return value, ()
+    # The same divergence where an overflow meets another: a term x^j/j! of
+    # inf makes the bracket inf - inf, and an inf polynomial part or 2 lam
+    # makes the value inf - inf or inf / inf.  The growing term dominates.
+    return (-math.inf if math.isnan(value) else value), ()
 
 
 def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
@@ -138,60 +141,60 @@ def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[s
     return _poly(lam, p, t, +1) - bracket / (2.0 * lam), ()
 
 
-# The four variants built on the three-sum bracket
-#
-#     P(P+1) sum_{j<c1} p_j - 2P sum_{j<c2} (j+1) p_{j+1}
-#         + sum_{j<c3} (j+1)(j+2) p_{j+2}  [+ extra(P, p)]
-#
-# with e^{-x} folded into every term.  Each row holds (c1, c2, c3) as
-# offsets from P, the sign of P(P+1)/(2 lam) in the polynomial part, the
-# extra term as a function of P and of q(n) = p_n (0.0 outside the window
-# of non-zero terms), and the smallest P at which that term is defined;
-# below it the term holds the factorial of a negative integer, so it is
-# dropped and the value flagged.
-_BRACKET_ROWS = {
-    CandidateFormula.ORIGINAL_NEGEXP: ((0, -1, -2), +1, None, 0),
-    CandidateFormula.WOLFRAM: (
+def _bracket_row(caps: tuple[int, int, int], sign: int, extra=None, defined_from: int = 0):
+    """The evaluator of one variant built on the three-sum bracket
+
+        P(P+1) sum_{j<c1} p_j - 2P sum_{j<c2} (j+1) p_{j+1}
+            + sum_{j<c3} (j+1)(j+2) p_{j+2}  [+ extra(P, p)]
+
+    with e^{-x} folded into every term.  caps holds (c1, c2, c3) as offsets
+    from P and sign the sign of P(P+1)/(2 lam) in the polynomial part; extra
+    is a function of P and of q(n) = p_n (0.0 outside the window of non-zero
+    terms), and defined_from the smallest P at which it is defined.  Below
+    that P the term holds the factorial of a negative integer, so it is
+    dropped and the value flagged.
+    """
+
+    def evaluate(lam: float, p: int, t: float) -> tuple[float, tuple[str, ...]]:
+        # p_{P+3} is the highest term any row reads.
+        first, terms = _poisson_window(lam * t, 0, p + 4)
+        c1, c2, c3 = (p + cap for cap in caps)
+        # The three sums' terms, n p_n and (n-1) n p_n as written with j = n-1
+        # and j = n-2, in one pass over the window.
+        s1, s2, s3 = [], [], []
+        for n, q in enumerate(terms, first):
+            if n < c1:
+                s1.append(q)
+            if n <= c2:
+                s2.append(n * q)
+            if n <= c3 + 1:
+                s3.append((n - 1) * n * q)
+        bracket = p * (p + 1) * math.fsum(s1) - 2 * p * math.fsum(s2) + math.fsum(s3)
+        warnings: tuple[str, ...] = ()
+        if p < defined_from:
+            warnings = (UNDEFINED_TERM,)
+        elif extra is not None:
+            bracket += extra(p, lambda n: terms[n - first] if 0 <= n - first < len(terms) else 0.0)
+        return _poly(lam, p, t, sign) - bracket / (2.0 * lam), warnings
+
+    return evaluate
+
+
+# Each candidate's evaluator, called as (lam, P, t) -> (value, warnings).
+_EVALUATORS = {
+    CandidateFormula.ORIGINAL: _eval_original,
+    CandidateFormula.ORIGINAL_NEGEXP: _bracket_row((0, -1, -2), +1),
+    CandidateFormula.WOLFRAM: _bracket_row(
         (2, 2, 2),
         -1,
         lambda p, q: (p - 1) * (p + 2) * q(p + 2) - (p + 2) * (p + 3) * q(p + 3),
-        0,
     ),
     # -4P x^{P-1}/(P-2)! is -4P (P-1) p_{P-1}.
-    CandidateFormula.NOTE: (
+    CandidateFormula.NOTE: _bracket_row(
         (0, -1, -2), -1, lambda p, q: -4 * p * (p - 1) * q(p - 1), 2
     ),
     # +2 x^{P-1}/(P-1)! is +2 p_{P-1}.
-    CandidateFormula.EQ10: ((-1, -2, -3), -1, lambda p, q: 2.0 * q(p - 1), 1),
-}
-
-
-def _eval_bracket_row(row: tuple, lam: float, p: int, t: float) -> tuple[float, tuple[str, ...]]:
-    caps, sign, extra, defined_from = row
-    # p_{P+3} is the highest term any row reads.
-    first, terms = _poisson_window(lam * t, 0, p + 4)
-    c1, c2, c3 = (p + cap for cap in caps)
-    # The three sums' terms, n p_n and (n-1) n p_n as written with j = n-1
-    # and j = n-2, in one pass over the window.
-    s1, s2, s3 = [], [], []
-    for n, q in enumerate(terms, first):
-        if n < c1:
-            s1.append(q)
-        if n <= c2:
-            s2.append(n * q)
-        if n <= c3 + 1:
-            s3.append((n - 1) * n * q)
-    bracket = p * (p + 1) * math.fsum(s1) - 2 * p * math.fsum(s2) + math.fsum(s3)
-    warnings: tuple[str, ...] = ()
-    if p < defined_from:
-        warnings = (UNDEFINED_TERM,)
-    elif extra is not None:
-        bracket += extra(p, lambda n: terms[n - first] if 0 <= n - first < len(terms) else 0.0)
-    return _poly(lam, p, t, sign) - bracket / (2.0 * lam), warnings
-
-
-_LITERAL_EVALUATORS = {
-    CandidateFormula.ORIGINAL: _eval_original,
+    CandidateFormula.EQ10: _bracket_row((-1, -2, -3), -1, lambda p, q: 2.0 * q(p - 1), 1),
     CandidateFormula.COMPACT: _eval_compact,
 }
 
@@ -211,9 +214,5 @@ def cumulative_expected_backlog(
         raise DomainError(f"unknown candidate {candidate!r}")
     lam, production = params.lam, params.production
     check_nonnegative(lam * t, "lambda*t")
-    row = _BRACKET_ROWS.get(candidate)
-    if row is None:
-        value, warnings = _LITERAL_EVALUATORS[candidate](lam, production, t)
-    else:
-        value, warnings = _eval_bracket_row(row, lam, production, t)
+    value, warnings = _EVALUATORS[candidate](lam, production, t)
     return CumulativeValue(value=value, t=t, candidate=candidate, warnings=warnings)

@@ -79,6 +79,10 @@ _UNIT_ROUNDOFF = 0.5 * _EPS
 # Smallest positive normal double; below it a term loses relative precision.
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 
+# Most doubles in one array a call allocates, 800 MB: Monte Carlo's
+# per-path results and each convolution grid are refused past it.
+_MAX_ARRAY = 100_000_000
+
 # Most uniforms one Monte Carlo path may draw.
 _MC_CHUNK_DRAWS = 8_000_000
 # Doubles in the one block that a Monte Carlo call transforms in place, a
@@ -386,11 +390,14 @@ def monte_carlo_cumulative(params: ModelParams, t: float, config: McConfig) -> E
     allocated once per call and transformed in place from uniforms to
     epochs to clipped tails; the stream layout and every bit of the
     result are those of a fresh array per step.  The reported bound is
-    the 99% confidence half-width.  lambda*t must be finite, and a path
-    may draw at most 8e6 uniforms, else ResourceLimitError.
+    the 99% confidence half-width.  lambda*t must be finite; more than
+    1e8 paths, or a path that would draw more than 8e6 uniforms, raise
+    ResourceLimitError before anything is allocated.
     """
     t = check_nonnegative(t, "time")
     n_paths = config.n_paths
+    if n_paths > _MAX_ARRAY:
+        raise ResourceLimitError(f"{n_paths} paths exceed the 1e8-path ceiling")
     notes: tuple[str, ...] = ("ci-unreliable",) if n_paths < 100 else ()
     if t == 0.0:
         return EstimateWithError(0.0, 0.0, n_paths, notes)
@@ -495,7 +502,7 @@ def nfold_exponential_convolution(lam: float, n: int, t: float, grid_step: float
     if not (0.0 < grid_step <= t / 100.0):
         raise DomainError(f"grid step must lie in (0, t/100], got {grid_step!r}")
     m = round(t / grid_step)
-    if m + 1 > 100_000_000:
+    if m + 1 > _MAX_ARRAY:
         raise ResourceLimitError(f"grid of {m + 1} points exceeds the 1e8-point ceiling")
     h = t / m
     # The trapezoid sum of a non-negative increasing iterate is at most k

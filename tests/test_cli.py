@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from backlog_lab.adjudicator import adjudicate, default_grid, render_report
 from backlog_lab.cli import main
+from backlog_lab.laplace import InversionConfig
 
 SUBCOMMANDS = ("eval", "cumulative", "invert", "simulate", "identities", "adjudicate")
 
@@ -79,6 +81,13 @@ class TestCumulative:
         assert {d["candidate"] for d in data} == {
             "original", "original-negexp", "wolfram", "note", "eq10", "compact",
         }
+
+    def test_overflowing_original_prints_minus_inf(self, capsys):
+        code, out, err = run(
+            capsys, "cumulative", "--lambda", "1", "--production", "500",
+            "--t", "1000", "--candidate", "original",
+        )
+        assert (code, out, err) == (0, "-inf\n", "")
 
     def test_t_and_t_list_conflict(self, capsys):
         code, _, _ = run(
@@ -202,6 +211,16 @@ class TestSimulate:
         assert "ci-unreliable" in err
         assert "ci-unreliable" not in out
 
+    def test_path_count_past_the_ceiling_is_refused_at_once(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "simulate", "--lambda", "1", "--production", "1", "--t", "1",
+            "--paths", "1000000000000",
+        )
+        assert time.monotonic() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == "backlog-lab: domain error: 1000000000000 paths exceed the 1e8-path ceiling\n"
+
 
 class TestIdentities:
     def test_single_family(self, capsys):
@@ -314,6 +333,11 @@ class TestAdjudicate:
         )
         assert code == 0
         assert out.splitlines()[1].startswith("1,1,0,compact,")
+
+    def test_no_axis_flags_adjudicate_the_default_grid(self, capsys):
+        code, out, _ = run(capsys, "adjudicate")
+        assert code == 0
+        assert out == render_report(adjudicate(default_grid(), inversion=InversionConfig()))
 
 
 class TestFramework:

@@ -7,6 +7,7 @@ integrals, and direct rational arithmetic for the polynomial parts.
 
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -237,6 +238,34 @@ class TestCumulativeCandidates:
             ModelParams(1.0, production), t, CandidateFormula.ORIGINAL
         ).value
         assert got == at_overflowing_exp == -math.inf
+
+    def test_raw_power_terms_past_the_largest_double_diverge_too(self):
+        # At lam t = 1000 the terms x^j/j! themselves overflow to inf, and the
+        # bracket's three sums used to meet as inf - inf = nan.
+        got = cumulative_expected_backlog(
+            ModelParams(1.0, 500), 1000.0, CandidateFormula.ORIGINAL
+        ).value
+        assert got == -math.inf
+
+    def test_seeded_sweep_finds_no_nan(self):
+        # Half the points where the printed form overflows (about a fifth of
+        # them gave nan before), half across the whole accepted domain.
+        rng = random.Random(11)
+        values = []
+        for i in range(600):
+            if i % 2:
+                lam, t = 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(0, 3.5)
+                production = rng.randrange(3000)
+            else:
+                lam, t = 10 ** rng.uniform(-300, 300), 10 ** rng.uniform(-300, 300)
+                production = int(10 ** rng.uniform(0, 5))
+            if not math.isfinite(lam * t):
+                continue
+            params = ModelParams(lam, production)
+            values.append(cumulative_expected_backlog(params, t, CandidateFormula.ORIGINAL).value)
+        assert len(values) > 450
+        assert -math.inf in values
+        assert not any(math.isnan(v) for v in values)
 
 
 class TestHugeProduction:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -329,6 +330,19 @@ class TestMcConfig:
 
 
 class TestMonteCarlo:
+    def test_path_count_past_the_ceiling_is_refused_before_allocating(self, monkeypatch):
+        params = ModelParams(1.0, 1)
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match="1e8-path ceiling"):
+            monte_carlo_cumulative(params, 1.0, McConfig(n_paths=10**12, seed=0))
+        assert time.monotonic() - start < 0.5
+        # The ceiling itself runs; one path past it does not.
+        monkeypatch.setattr(backlog_lab.oracles, "_MAX_ARRAY", 1000)
+        est = monte_carlo_cumulative(params, 1.0, McConfig(n_paths=1000, seed=0))
+        assert est.n_effective == 1000
+        with pytest.raises(ResourceLimitError):
+            monte_carlo_cumulative(params, 1.0, McConfig(n_paths=1001, seed=0))
+
     def test_deterministic_for_fixed_seed(self):
         params = ModelParams(1.0, 2)
         cfg = McConfig(n_paths=20_000, seed=42)
