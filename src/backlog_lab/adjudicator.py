@@ -23,7 +23,7 @@ from .closed_forms import (
     CandidateFormula,
     cumulative_expected_backlog,
 )
-from .distributions import ModelParams
+from .distributions import MAX_PRODUCTION, ModelParams
 from .errors import AccuracyError, DomainError, check_int, check_nonnegative, check_positive
 from .laplace import (
     INVERSION_T_MIN,
@@ -96,7 +96,7 @@ class SweepGrid:
         for lam in self.lambdas:
             check_positive(lam, "grid demand rate")
         for p in self.productions:
-            check_int(p, "grid production level", 0)
+            check_int(p, "grid production level", 0, MAX_PRODUCTION)
         for t in self.times:
             check_nonnegative(t, "grid time")
         # -0.0 is the point t = 0 and is stored, and printed, as 0.0.

@@ -16,9 +16,13 @@ bracket is evaluated as a combination of regularized Poisson terms with
 exact integer coefficients, each sum one math.fsum over the non-zero
 terms of one window from index 0 (a term outside it is 0.0 and adds
 nothing), so no step or float is spent on the indices up to P past the
-cutoff.  Raw powers of x never appear except in original, whose printed
-form carries a growing exponential, which is reproduced faithfully (and
-therefore diverges, as the adjudicator will happily report).
+cutoff.  Every weighted term is non-negative, so distributions._fsum may
+hand a long window to fsum largest first: the same bits, in a twentieth
+of the time at lambda*t = 3e4.  Where the modal anchor has no correct
+digit (lambda*t above about 2e13) the window raises AccuracyError.  Raw
+powers of x never appear except in original, whose printed form carries
+a growing exponential, which is reproduced faithfully (and therefore
+diverges, as the adjudicator will happily report).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .distributions import ModelParams, _poisson_window
+from .distributions import ModelParams, _fsum, _poisson_window
 from .errors import DomainError, check_nonnegative
 
 __all__ = [
@@ -80,6 +84,7 @@ def expected_backlog(params: ModelParams, t: float) -> float:
 
     The bracket is the standard loss-function correction, accumulated as a
     single sum of non-negative terms.  With P = 0 this is exactly lam*t.
+    Raises AccuracyError where poisson_term's anchor has no correct digit.
     """
     t = check_nonnegative(t, "time")
     lam, production = params.lam, params.production
@@ -87,7 +92,7 @@ def expected_backlog(params: ModelParams, t: float) -> float:
     if production == 0:
         return x
     first, terms = _poisson_window(x, 0, production)
-    bracket = math.fsum((production - n) * q for n, q in enumerate(terms, first))
+    bracket = _fsum([(production - n) * q for n, q in enumerate(terms, first)])
     return x - production + bracket
 
 
@@ -137,7 +142,7 @@ def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[s
     p = production
     # The window runs to n = P, whose weight is 0, so that it is never empty.
     first, terms = _poisson_window(lam * t, 0, p + 1)
-    bracket = math.fsum((p - n) * (p - n + 1) * q for n, q in enumerate(terms, first))
+    bracket = _fsum([(p - n) * (p - n + 1) * q for n, q in enumerate(terms, first)])
     return _poly(lam, p, t, +1) - bracket / (2.0 * lam), ()
 
 
@@ -169,7 +174,7 @@ def _bracket_row(caps: tuple[int, int, int], sign: int, extra=None, defined_from
                 s2.append(n * q)
             if n <= c3 + 1:
                 s3.append((n - 1) * n * q)
-        bracket = p * (p + 1) * math.fsum(s1) - 2 * p * math.fsum(s2) + math.fsum(s3)
+        bracket = p * (p + 1) * _fsum(s1) - 2 * p * _fsum(s2) + _fsum(s3)
         warnings: tuple[str, ...] = ()
         if p < defined_from:
             warnings = (UNDEFINED_TERM,)
@@ -189,9 +194,10 @@ _EVALUATORS = {
         -1,
         lambda p, q: (p - 1) * (p + 2) * q(p + 2) - (p + 2) * (p + 3) * q(p + 3),
     ),
-    # -4P x^{P-1}/(P-2)! is -4P (P-1) p_{P-1}.
+    # -4P x^{P-1}/(P-2)! is -4P (P-1) p_{P-1}.  4P(P-1) is no double near
+    # the production ceiling, where p_{P-1} is 0.0, so a zero term adds 0.0.
     CandidateFormula.NOTE: _bracket_row(
-        (0, -1, -2), -1, lambda p, q: -4 * p * (p - 1) * q(p - 1), 2
+        (0, -1, -2), -1, lambda p, q: -4 * p * (p - 1) * q(p - 1) if q(p - 1) else 0.0, 2
     ),
     # +2 x^{P-1}/(P-1)! is +2 p_{P-1}.
     CandidateFormula.EQ10: _bracket_row((-1, -2, -3), -1, lambda p, q: 2.0 * q(p - 1), 1),

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 from .distributions import (
     _ANCHOR_SWITCH,
+    _EPS,
     ModelParams,
+    _anchor_error,
     _count_while,
     _descend,
     _log_term,
@@ -74,7 +76,6 @@ _MAX_SERIES_TERMS = 10_000_000
 # safe: the walk keeps the budget itself.
 _REFUSAL_GATE = 1e10
 
-_EPS = 2.220446049250313e-16
 _UNIT_ROUNDOFF = 0.5 * _EPS
 # Smallest positive normal double; below it a term loses relative precision.
 _SMALLEST_NORMAL = 2.2250738585072014e-308
@@ -184,11 +185,7 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     anchor, anchor_err = 0, 0.0
     if x > _ANCHOR_SWITCH:
         anchor = int(x)
-        # The relative error of the modal anchor exp(_log_term(x, anchor)):
-        # ln p = m ln x - x - lgamma(m+1) cancels terms of up to this size
-        # (lgamma(m+1) <= m ln x); each is good to a few ulps of itself, 2.4
-        # at worst against mpmath up to lambda*t = 1e7.
-        anchor_err = 4.0 * _EPS * (2.0 * anchor * math.log(x) + x)
+        anchor_err = _anchor_error(x, anchor)
     # A margin on _log_term(x, k) as a bound on ln p_k, for its own
     # rounding and the anchor's error.
     slack = 1.0 + 2.0 * anchor_err

@@ -71,6 +71,8 @@ class TestSweepGrid:
             SweepGrid(lambdas=(-1.0,), productions=(1,), times=(1.0,))
         with pytest.raises(DomainError):
             SweepGrid(lambdas=(1.0,), productions=(-1,), times=(1.0,))
+        with pytest.raises(DomainError, match="at most"):
+            SweepGrid(lambdas=(1.0,), productions=(10**154 + 1,), times=(1.0,))
 
     @pytest.mark.parametrize("axes", [
         ((1.0, 1.0), (1,), (1.0,)),

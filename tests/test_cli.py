@@ -386,6 +386,36 @@ def _extreme_argv(sub, lam, t):
     return (sub, *model, "--t", t)
 
 
+class TestProductionCeiling:
+    # Past 10**154, P(P+1) is no finite double; these ended in an
+    # OverflowError traceback.
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--lambda", "1", "--production", str(10**400), "--t", "1"),
+        ("cumulative", "--lambda", "1", "--production", str(10**160), "--t", "1",
+         "--candidate", "compact"),
+        ("adjudicate", "--lambda", "1", "--production", str(10**160), "--t-list", "1",
+         "--candidate", "compact"),
+    ])
+    def test_above_the_ceiling_is_domain_error(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("backlog-lab: domain error:") and "at most" in err
+
+    def test_at_the_ceiling_every_command_gives_values(self, capsys):
+        model = ("--lambda", "1", "--production", str(10**154))
+        code, out, _ = run(capsys, "eval", *model, "--t", "1")
+        assert code == 0
+        assert math.isfinite(float(out))
+        code, out, _ = run(capsys, "cumulative", *model, "--t", "1", "--candidate", "all")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 6
+        assert not any(math.isnan(float(row["value"])) for row in rows)
+        code, out, _ = run(capsys, "adjudicate", *model, "--t-list", "1")
+        assert code == 0
+
+
 class TestExtremeArguments:
     @pytest.mark.parametrize("t", ["1e-300", "1e120", "1e300"])
     @pytest.mark.parametrize("lam", ["1e-300", "1", "1e300"])

@@ -25,7 +25,8 @@ from backlog_lab.closed_forms import (
     cumulative_expected_backlog,
     expected_backlog,
 )
-from backlog_lab.distributions import ModelParams, poisson_term
+from backlog_lab import closed_forms, distributions
+from backlog_lab.distributions import ModelParams, erlang_cdf, poisson_term
 from backlog_lab.errors import DomainError
 from backlog_lab.oracles import cumulative_series_oracle
 
@@ -268,6 +269,23 @@ class TestCumulativeCandidates:
         assert not any(math.isnan(v) for v in values)
 
 
+def _run_cli_in_child(*argv):
+    """The CLI in a child process under a 1 GB address-space limit and a
+    20 s timeout, so that a run-away walk fails the test, not the machine."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")))
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "backlog_lab.cli", *argv],
+        capture_output=True, env=env, timeout=20, preexec_fn=limit_memory,
+    )
+
+
 class TestHugeProduction:
     @pytest.mark.parametrize("argv, n_values", [
         (("eval",), 1),
@@ -276,17 +294,8 @@ class TestHugeProduction:
     def test_costs_no_step_per_unit_of_stock(self, argv, n_values):
         # Only the non-zero Poisson terms are walked and summed: at P = 1e15
         # a step or a float per unit of stock would take days or petabytes.
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")))
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "backlog_lab.cli", *argv,
-             "--production", "1000000000000000", "--lambda", "1", "--t", "1"],
-            capture_output=True, env=env, timeout=20, preexec_fn=limit_memory,
+        proc = _run_cli_in_child(
+            *argv, "--production", "1000000000000000", "--lambda", "1", "--t", "1"
         )
         assert proc.returncode == 0, proc.stderr.decode()
         lines = proc.stdout.decode().splitlines()
@@ -294,6 +303,96 @@ class TestHugeProduction:
         values = lines if n_values == 1 else [line.split(",")[4] for line in lines[1:]]
         assert len(values) == n_values
         assert all(math.isfinite(float(v)) for v in values)
+
+
+class TestAnchorWithoutACorrectDigit:
+    @pytest.mark.parametrize("argv", [
+        # Walked the whole cutoff window, about 1.2e8 terms, past a minute.
+        ("--lambda", "1e16", "--production", "10000000000000000", "--t", "1"),
+        # About 1.2e9 terms in one list: killed for want of memory.
+        ("--lambda", "1e12", "--production", "1000000010000000", "--t", "1000"),
+    ])
+    def test_is_refused_before_any_walk(self, argv):
+        proc = _run_cli_in_child("eval", *argv)
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert proc.stdout == b""
+        assert b"no correct digit" in proc.stderr
+
+
+def _index_order_sum(monkeypatch, f, *args):
+    """f(*args) with every _fsum a plain math.fsum over its terms in index order."""
+    with monkeypatch.context() as m:
+        m.setattr(closed_forms, "_fsum", math.fsum)
+        m.setattr(distributions, "_fsum", math.fsum)
+        return f(*args)
+
+
+class TestLargestFirstSums:
+    """Long windows go to math.fsum largest first, with the same bits."""
+
+    @staticmethod
+    def _sweep():
+        rng = random.Random(14)
+        for _ in range(100):
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(5e4)))
+            lam = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            t = x / lam
+            x = lam * t
+            spread = int(3.0 * math.sqrt(x))
+            productions = {0, 1, 2, int(x / 2), int(x) - spread, int(x) + spread, int(2 * x)}
+            for production in sorted(p for p in productions if p >= 0):
+                yield lam, production, t
+
+    def test_same_bits_as_index_order(self, monkeypatch):
+        windowed = [c for c in ALL if c is not CandidateFormula.ORIGINAL]
+        points = long = 0
+        for lam, production, t in self._sweep():
+            params = ModelParams(lam, production)
+            calls = [(expected_backlog, params, t), (erlang_cdf, lam, max(production, 1), t)]
+            calls += [(lambda *a: cumulative_expected_backlog(*a).value, params, t, c) for c in windowed]
+            for f, *args in calls:
+                got = f(*args).hex()
+                assert got == _index_order_sum(monkeypatch, f, *args).hex(), (f, args)
+            points += 1
+            long += production > 100 and lam * t > 100
+        # Enough of them past the cut-off, where the sums are sorted.
+        assert points > 450 and long > 100
+
+    @staticmethod
+    def _fed(monkeypatch, f, *args):
+        """The lists that math.fsum receives during f(*args)."""
+        fed, fsum = [], math.fsum
+
+        def spy(terms):
+            fed.append(list(terms))
+            return fsum(fed[-1])
+
+        with monkeypatch.context() as m:
+            m.setattr(math, "fsum", spy)
+            f(*args)
+        return fed
+
+    @pytest.mark.parametrize("f, args", [
+        (erlang_cdf, (1.0, 6064, 3031.8)),
+        (expected_backlog, (ModelParams(30182.4, 60365), 1.0)),
+    ])
+    def test_long_windows_are_fed_largest_first(self, monkeypatch, f, args):
+        (terms,) = self._fed(monkeypatch, f, *args)
+        assert len(terms) > 1000
+        assert terms[0] == max(terms) > terms[len(terms) // 2]
+
+    @pytest.mark.parametrize("lam, n, t, sorted_", [
+        # A 16-term window at a default-grid rate and time, rising throughout.
+        (2.0, 16, 10.0, False),
+        # Either side of the cut-off: 64 terms stay in index order, 65 do not.
+        (1.0, 64, 40.0, False),
+        (1.0, 65, 40.0, True),
+    ])
+    def test_short_windows_are_fed_in_index_order(self, monkeypatch, lam, n, t, sorted_):
+        (terms,) = self._fed(monkeypatch, erlang_cdf, lam, n, t)
+        in_order = distributions._poisson_window(lam * t, 0, n)[1]
+        assert len(terms) == n == len(in_order)
+        assert terms == (sorted(in_order, reverse=True) if sorted_ else in_order)
 
 
 class TestCrossChecks:

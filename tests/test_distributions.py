@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from backlog_lab.closed_forms import expected_backlog
 from backlog_lab.distributions import (
     _LOG_CUTOFF,
+    MAX_PRODUCTION,
     UNDERFLOW_FLOOR,
     ModelParams,
     _log_term,
@@ -20,7 +21,7 @@ from backlog_lab.distributions import (
     erlang_density,
     poisson_term,
 )
-from backlog_lab.errors import DomainError
+from backlog_lab.errors import AccuracyError, DomainError
 from backlog_lab.quadrature import adaptive_simpson
 
 # The benchmark's mpmath references (50 digits), which import nothing
@@ -99,6 +100,13 @@ class TestModelParams:
     def test_rejects_bad_stock(self, production):
         with pytest.raises(DomainError):
             ModelParams(1.0, production)
+
+    def test_production_ceiling(self):
+        # The largest power of ten at which P(P+1) is a finite double.
+        assert math.isfinite(float(MAX_PRODUCTION * (MAX_PRODUCTION + 1)))
+        assert ModelParams(1.0, MAX_PRODUCTION).production == MAX_PRODUCTION
+        with pytest.raises(DomainError, match="at most"):
+            ModelParams(1.0, MAX_PRODUCTION + 1)
 
     def test_frozen(self):
         p = ModelParams(1.0, 1)
@@ -232,6 +240,22 @@ class TestPoissonWindow:
         # would never end.
         assert poisson_term(1e300, 0) == 0.0
         assert _poisson_window(1e300, 0, 5) == (0, [])
+
+    def test_anchor_without_a_correct_digit_is_refused(self):
+        # The truth is about 4.0e-9; the anchor used to give 1.0.
+        with pytest.raises(AccuracyError, match="no correct digit"):
+            poisson_term(1e16, 10**16)
+        with pytest.raises(AccuracyError, match="no correct digit"):
+            erlang_cdf(1.0, 10**14, 1e14)
+        with pytest.raises(AccuracyError, match="no correct digit"):
+            expected_backlog(ModelParams(1.0, 10**16), 1e16)
+        # A block the cutoff flushes whole needs no anchor and is not refused.
+        assert poisson_term(1e16, 0) == 0.0
+        assert _poisson_window(1e16, 2 * 10**16, 2 * 10**16 + 5) == (2 * 10**16, [])
+
+    def test_anchor_with_a_correct_digit_is_not_refused(self):
+        # The anchor's error crosses 1 near lambda*t = 2e13.
+        assert 0.0 < poisson_term(1e13, 10**13) < 1.3e-7
 
 
 class TestExpDensity:
