@@ -31,8 +31,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .distributions import ModelParams, _fsum, _poisson_window
-from .errors import DomainError, check_nonnegative
+from .distributions import ModelParams, _fsum, _poisson_window, _upper_window
+from .errors import AccuracyError, DomainError, check_nonnegative
 
 __all__ = [
     "CandidateFormula",
@@ -80,15 +80,23 @@ class CumulativeValue:
 
 
 def expected_backlog(params: ModelParams, t: float) -> float:
-    """Pointwise expected backlog lam*t - P + sum_{i<P} (P-i) p_i(lam*t).
+    """Pointwise expected backlog E[(N-P)^+] = sum_{n>P} (n-P) p_n(lam*t).
 
-    The bracket is the standard loss-function correction, accumulated as a
-    single sum of non-negative terms.  With P = 0 this is exactly lam*t.
-    Raises AccuracyError where poisson_term's anchor has no correct digit.
+    Summed on the short side of x = lam*t.  Where P <= x it is
+    x - P + sum_{n<P} (P-n) p_n, the standard loss-function correction
+    accumulated as a single sum of non-negative terms; with P = 0 this is
+    exactly x.  Where P > x that lower sum is the long side, and x - P
+    cancels it to a rounding residue of P that may be negative; the upper
+    tail sum_{n>P} (n-P) p_n, to the cutoff, is short, never negative and
+    keeps its digits.  Raises AccuracyError where poisson_term's anchor has
+    no correct digit.
     """
     t = check_nonnegative(t, "time")
     lam, production = params.lam, params.production
     x = check_nonnegative(lam * t, "lambda*t")
+    if production > x:
+        first, terms = _upper_window(x, production + 1)
+        return _fsum([(n - production) * q for n, q in enumerate(terms, first)])
     if production == 0:
         return x
     first, terms = _poisson_window(x, 0, production)
@@ -213,7 +221,10 @@ def cumulative_expected_backlog(
     Each tag maps to exactly one evaluation rule; sums whose upper limit
     falls below the lower one are empty.  Variants containing a factorial
     of a negative integer at small P return the remaining terms with an
-    ``undefined-term`` warning instead of raising.
+    ``undefined-term`` warning instead of raising.  Where a candidate's
+    overflowing parts meet as inf - inf (P(P+1)/(2 lam) and its bracket at
+    a tiny rate and a large P), its value is NaN and AccuracyError is
+    raised instead.
     """
     t = check_nonnegative(t, "time")
     if not isinstance(candidate, CandidateFormula):
@@ -221,4 +232,9 @@ def cumulative_expected_backlog(
     lam, production = params.lam, params.production
     check_nonnegative(lam * t, "lambda*t")
     value, warnings = _EVALUATORS[candidate](lam, production, t)
+    if math.isnan(value):
+        raise AccuracyError(
+            f"{candidate.value} is not a number at lambda = {lam:g}, P = {production}, "
+            f"t = {t:g}: its overflowing parts cancel"
+        )
     return CumulativeValue(value=value, t=t, candidate=candidate, warnings=warnings)

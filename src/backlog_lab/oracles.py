@@ -178,6 +178,12 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     the lgamma anchor.  Raises AccuracyError at _MAX_SERIES_TERMS terms,
     and above _REFUSAL_GATE before any term where the anchor has no
     correct digit or the walk provably needs that many.
+
+    Both loops form each weight, i p or i (i-1) p, and the upward majorant
+    p _weighted_tail(i, r, rho) written out, in place of a call per term;
+    the upward step reuses rho, and the budget counts down.  The products
+    and their order are those of the calls, so every bit is the same, in
+    about three quarters of the time at lambda*t = 3e4.
     """
     if x == 0.0:
         return EstimateWithError(0.0, 0.0, 0)
@@ -198,11 +204,12 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     p_start = poisson_term(x, start)
 
     terms = array("d")  # the weighted terms, for math.fsum: 80 MB at the budget
+    append = terms.append
     total = 0.0  # their plain running sum, for the stop tests only
+    left = _MAX_SERIES_TERMS  # terms the budget still allows
     floor_tail = 0.0  # a tail charged under the smallest normal, over scale
-    k, p = start, p_start
+    k, p, i = start, p_start, start - production
     while True:
-        i = k - production
         rho = x / (k + 1)
         if rho < 1.0:
             if p < _SMALLEST_NORMAL:
@@ -221,31 +228,42 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
                     log_tail = log_p + math.log(weight) - math.log(scale)
                     floor_tail = max(math.exp(log_tail), math.ulp(0.0))
                 break
-            up_tail = p * _weighted_tail(i, r, rho)
+            # p * _weighted_tail(i, r, rho), written out.
+            d = 1.0 - rho
+            if r == 1:
+                up_tail = p * (i / d + rho / (d * d))
+            else:
+                up_tail = p * (i * (i - 1) / d + 2.0 * i * rho / (d * d) + 2.0 * rho * rho / (d * d * d))
             if up_tail <= _UNIT_ROUNDOFF * total:
                 break
-        terms.append(math.perm(i, r) * p)
-        total += terms[-1]
-        if len(terms) >= _MAX_SERIES_TERMS:
+        w = i * p if r == 1 else i * (i - 1) * p  # (i)_r p
+        append(w)
+        total += w
+        left -= 1
+        if not left:
             raise _over_budget(terms, scale)
         k += 1
-        p *= x / k
+        i += 1
+        p *= rho  # p_k = p_{k-1} x / k
     reach = k - anchor
 
     # Down from the anchor, when it sits above P+r (and so is the start).
     # If the terms fall under the floor first, the last majorant covers them.
-    k, p = anchor, p_start
+    # w is the weighted term at k, to start with the first one summed above.
+    k, i = anchor, anchor - production
+    w = i * p_start if r == 1 else i * (i - 1) * p_start
     down_tail = 0.0
-    for q in _descend(x, anchor, p, anchor, first):
-        i = k - production
+    for q in _descend(x, anchor, p_start, anchor, first):
         s = (i - r) / i * k / x
-        down_tail = math.perm(i, r) * p * s / (1.0 - s)
+        down_tail = w * s / (1.0 - s)
         if down_tail <= _UNIT_ROUNDOFF * total:
             break
-        k, p = k - 1, q
-        terms.append(math.perm(i - 1, r) * p)
-        total += terms[-1]
-        if len(terms) >= _MAX_SERIES_TERMS:
+        k, i = k - 1, i - 1
+        w = i * q if r == 1 else i * (i - 1) * q
+        append(w)
+        total += w
+        left -= 1
+        if not left:
             raise _over_budget(terms, scale)
     if k == first:
         down_tail = 0.0

@@ -46,6 +46,12 @@ class TestEval:
         assert out == ""
         assert "lambda*t" in err
 
+    def test_production_far_above_demand_prints_zero(self, capsys):
+        # The lower-sum form printed -1.1084484867751598e-06 here.
+        code, out, _ = run(capsys, "eval", "--lambda", "30182.4", "--production", "60365", "--t", "1")
+        assert code == 0
+        assert out == "0\n"
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "--lambda", "1", "--t", "1")
         assert code == 3
@@ -109,6 +115,17 @@ class TestCumulative:
         assert "Traceback" not in err
         rows = {row["candidate"]: row for row in csv.DictReader(io.StringIO(out))}
         assert rows["original"]["candidate_value"] == "-inf"
+
+    def test_candidate_that_is_not_a_number_is_accuracy_error(self, capsys):
+        # P(P+1)/(2 lam) and the bracket over 2 lam are both inf here; the
+        # NaN of compact and original-negexp was printed with exit 0.
+        code, out, err = run(
+            capsys, "cumulative", "--lambda", "3.06e-300", "--production", "156197",
+            "--t", "1.49e-162", "--candidate", "all",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a number" in err
 
     def test_unknown_candidate(self, capsys):
         code, _, _ = run(
@@ -294,6 +311,16 @@ class TestAdjudicate:
         data = json.loads(out)
         assert len(data) == 1
         assert data[0]["production"] == 1
+
+    def test_candidate_that_is_not_a_number_is_accuracy_error(self, capsys):
+        # It used to read "compact: Fails, max abs dev nan".
+        code, out, err = run(
+            capsys, "adjudicate", "--lambda", "3.06e-300", "--production", "156197",
+            "--t-list", "1.49e-162",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a number" in err
 
     def test_bad_tolerance_split(self, capsys):
         code, out, err = run(

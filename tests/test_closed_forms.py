@@ -27,7 +27,7 @@ from backlog_lab.closed_forms import (
 )
 from backlog_lab import closed_forms, distributions
 from backlog_lab.distributions import ModelParams, erlang_cdf, poisson_term
-from backlog_lab.errors import DomainError
+from backlog_lab.errors import AccuracyError, DomainError
 from backlog_lab.oracles import cumulative_series_oracle
 
 ALL = tuple(CandidateFormula)
@@ -319,6 +319,36 @@ class TestAnchorWithoutACorrectDigit:
         assert b"no correct digit" in proc.stderr
 
 
+class TestNotANumber:
+    def test_overflowing_parts_that_cancel_are_refused(self):
+        # P(P+1)/(2 lam) and the bracket over 2 lam are both inf: compact
+        # and original-negexp form inf - inf, original keeps its -inf.
+        params = ModelParams(3.06e-300, 156197)
+        for candidate in (CandidateFormula.COMPACT, CandidateFormula.ORIGINAL_NEGEXP):
+            with pytest.raises(AccuracyError, match="not a number"):
+                cumulative_expected_backlog(params, 1.49e-162, candidate)
+        original = cumulative_expected_backlog(params, 1.49e-162, CandidateFormula.ORIGINAL)
+        assert original.value == -math.inf
+
+    def test_every_candidate_gives_a_number_or_raises(self):
+        # lam and t anywhere in 1e-300 .. 1e300, P below a million; 30 of
+        # these values were NaN.
+        rng = random.Random(1515)
+        refused = 0
+        for _ in range(4000):
+            lam = 10.0 ** rng.uniform(-300.0, 300.0)
+            t = 10.0 ** rng.uniform(-300.0, 300.0)
+            params = ModelParams(lam, rng.randrange(10**6))
+            for candidate in ALL:
+                try:
+                    value = cumulative_expected_backlog(params, t, candidate).value
+                except (AccuracyError, DomainError):
+                    refused += 1
+                    continue
+                assert not math.isnan(value), (params, t, candidate)
+        assert refused < 4000 * len(ALL)
+
+
 def _index_order_sum(monkeypatch, f, *args):
     """f(*args) with every _fsum a plain math.fsum over its terms in index order."""
     with monkeypatch.context() as m:
@@ -373,8 +403,10 @@ class TestLargestFirstSums:
         return fed
 
     @pytest.mark.parametrize("f, args", [
-        (erlang_cdf, (1.0, 6064, 3031.8)),
-        (expected_backlog, (ModelParams(30182.4, 60365), 1.0)),
+        # Lower windows, below lambda*t, and an upper tail window above it.
+        (erlang_cdf, (1.0, 3000, 3031.8)),
+        (expected_backlog, (ModelParams(30182.4, 30000), 1.0)),
+        (expected_backlog, (ModelParams(3031.8, 3100), 1.0)),
     ])
     def test_long_windows_are_fed_largest_first(self, monkeypatch, f, args):
         (terms,) = self._fed(monkeypatch, f, *args)
@@ -384,9 +416,10 @@ class TestLargestFirstSums:
     @pytest.mark.parametrize("lam, n, t, sorted_", [
         # A 16-term window at a default-grid rate and time, rising throughout.
         (2.0, 16, 10.0, False),
-        # Either side of the cut-off: 64 terms stay in index order, 65 do not.
-        (1.0, 64, 40.0, False),
-        (1.0, 65, 40.0, True),
+        # Either side of the cut-off: 64 terms stay in index order, 65 do
+        # not.  n stays below lambda*t, where the lower window is summed.
+        (1.0, 64, 100.0, False),
+        (1.0, 65, 100.0, True),
     ])
     def test_short_windows_are_fed_in_index_order(self, monkeypatch, lam, n, t, sorted_):
         (terms,) = self._fed(monkeypatch, erlang_cdf, lam, n, t)

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from backlog_lab.closed_forms import expected_backlog
 from backlog_lab.distributions import (
+    _ANCHOR_SWITCH,
     _LOG_CUTOFF,
     MAX_PRODUCTION,
     UNDERFLOW_FLOOR,
     ModelParams,
+    _anchor_error,
     _log_term,
     _poisson_window,
     erlang_cdf,
@@ -356,9 +358,18 @@ class TestErlangCdf:
 
     @pytest.mark.parametrize("x", [0.7, 35.0, 699.9, 700.5, 740.5, 3e3])
     def test_is_the_correctly_rounded_sum_of_the_terms(self, x):
+        # Summed on the short side of x: the complement of p_0 .. p_{n-1} up
+        # to n = x, and above it p_n, p_{n+1}, .. to the first term that is
+        # 0.0, past the mode, where every later one is 0.0 too.
         for n in (1, 2, int(x) + 1, int(x + 10 * math.sqrt(x)) + 3):
-            mass = math.fsum(poisson_term(x, j) for j in range(n))
-            assert erlang_cdf(1.0, n, x) == min(max(1.0 - mass, 0.0), 1.0)
+            if n > x:
+                terms = [poisson_term(x, n)]
+                while terms[-1] != 0.0:
+                    terms.append(poisson_term(x, n + len(terms)))
+                expected = min(max(math.fsum(terms), 0.0), 1.0)
+            else:
+                expected = min(max(1.0 - math.fsum(poisson_term(x, j) for j in range(n)), 0.0), 1.0)
+            assert erlang_cdf(1.0, n, x) == expected
 
     @pytest.mark.parametrize("f", [erlang_cdf, erlang_density])
     def test_overflowing_lambda_t_is_domain_error(self, f):
@@ -380,3 +391,49 @@ class TestErlangCdf:
                 lambda u: erlang_density(lam, n, u), 0.0, t, 1e-10, knots=knots
             )
             assert abs(val - erlang_cdf(lam, n, t)) < 1e-8
+
+
+class TestShortSide:
+    """Above lambda*t each Poisson tail is summed upwards, on its short side."""
+
+    @staticmethod
+    def _points():
+        rng = random.Random(15)
+        for _ in range(400):
+            x = 10.0 ** rng.uniform(-3.0, math.log10(5e4))
+            ks = {math.floor(x) + 1, math.ceil(x + math.sqrt(x)), math.ceil(x + 3 * math.sqrt(x)), math.ceil(2 * x + 2)}
+            for k in sorted(ks):
+                yield x, k
+
+    def test_matches_mpmath_above_lambda_t(self):
+        # Each term carries the anchor's relative error past the switch and
+        # a few ulps from its recurrence steps below it.  Terms under the
+        # floor are flushed to 0.0, and subnormal terms keep few digits, so
+        # a sum near the floor may also be off by an absolute 1e-317; a sum
+        # of 0.0 only where the truth is below the floor.  The lower-sum
+        # forms fail here: expected_backlog goes negative and erlang_cdf
+        # returns a rounding residue of 1 where the truth is tiny.
+        checked = 0
+        for x, k in self._points():
+            rel = (_anchor_error(x, int(x)) if x > _ANCHOR_SWITCH else 0.0) + 1e-14
+            backlog = expected_backlog(ModelParams(x, k), 1.0)
+            assert backlog >= 0.0, (x, k, backlog)
+            for value, truth in (
+                (backlog, references.expected_backlog(x, k)),
+                (erlang_cdf(1.0, k, x), references.poisson_tail(x, k)),
+            ):
+                assert abs(value - truth) <= rel * truth + 1e-317, (x, k, value, truth)
+                assert value != 0.0 or truth < UNDERFLOW_FLOOR, (x, k, truth)
+                checked += truth > 1e-300
+        assert checked > 1500
+
+    def test_upper_tail_below_the_floor_is_zero(self):
+        # The negative and nonzero values the lower-sum forms gave here.
+        assert expected_backlog(ModelParams(30182.4, 60365), 1.0) == 0.0
+        assert erlang_cdf(1.0, 6064, 3031.8) == 0.0
+
+    @pytest.mark.parametrize("t", [1.0, 1000.0])
+    def test_stage_count_past_the_largest_double(self, t):
+        # No index that large becomes a float: past the switch the lower
+        # window's log term raised OverflowError here.
+        assert erlang_cdf(1.0, 10**400, t) == 0.0

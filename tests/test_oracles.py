@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from backlog_lab.distributions import ModelParams, erlang_density, poisson_term
 from backlog_lab.errors import AccuracyError, DomainError, ResourceLimitError
 from backlog_lab.oracles import (
     EstimateWithError,
+    _moment_walk,
     McConfig,
     backlog_series_oracle,
     cumulative_quadrature_oracle,
@@ -30,6 +32,156 @@ from backlog_lab.oracles import (
 # from backlog_lab.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import references  # noqa: E402
+
+
+def _per_term_walk(x, production, r, scale):
+    """_moment_walk with a _weighted_tail call, a math.perm weight and a
+    len(terms) budget test per term: the loop that the written-out one must
+    match bit for bit.  Its names are looked up in backlog_lab.oracles (see
+    below), so that a patched _MAX_SERIES_TERMS reaches it too."""
+    if x == 0.0:
+        return EstimateWithError(0.0, 0.0, 0)
+    first = production + r  # lowest index with a non-zero weight
+    anchor, anchor_err = 0, 0.0
+    if x > _ANCHOR_SWITCH:
+        anchor = int(x)
+        anchor_err = _anchor_error(x, anchor)
+    # A margin on _log_term(x, k) as a bound on ln p_k, for its own
+    # rounding and the anchor's error.
+    slack = 1.0 + 2.0 * anchor_err
+    if x > _REFUSAL_GATE:
+        if not anchor_err < 1.0:
+            raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
+        if _fewest_terms(x, production, r, anchor, slack) >= _MAX_SERIES_TERMS:
+            raise AccuracyError(f"series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms")
+    start = max(anchor, first)
+    p_start = poisson_term(x, start)
+
+    terms = array("d")  # the weighted terms, for math.fsum: 80 MB at the budget
+    total = 0.0  # their plain running sum, for the stop tests only
+    floor_tail = 0.0  # a tail charged under the smallest normal, over scale
+    k, p = start, p_start
+    while True:
+        i = k - production
+        rho = x / (k + 1)
+        if rho < 1.0:
+            if p < _SMALLEST_NORMAL:
+                # Every later term is smaller still.  Charge them at this
+                # term's own bound, or at the smallest normal if that is
+                # less, twice over for the rounding into it.  Below the
+                # smallest normal the charge over scale is formed in logs,
+                # so that it does not flush to 0 before the division, and
+                # is never less than the smallest double: the tail is not 0.
+                weight = 2.0 * _weighted_tail(i, r, rho)
+                log_p = _log_term(x, k) + slack
+                if log_p >= math.log(_SMALLEST_NORMAL):
+                    up_tail = _SMALLEST_NORMAL * weight
+                else:
+                    up_tail = 0.0
+                    log_tail = log_p + math.log(weight) - math.log(scale)
+                    floor_tail = max(math.exp(log_tail), math.ulp(0.0))
+                break
+            up_tail = p * _weighted_tail(i, r, rho)
+            if up_tail <= _UNIT_ROUNDOFF * total:
+                break
+        terms.append(math.perm(i, r) * p)
+        total += terms[-1]
+        if len(terms) >= _MAX_SERIES_TERMS:
+            raise _over_budget(terms, scale)
+        k += 1
+        p *= x / k
+    reach = k - anchor
+
+    # Down from the anchor, when it sits above P+r (and so is the start).
+    # If the terms fall under the floor first, the last majorant covers them.
+    k, p = anchor, p_start
+    down_tail = 0.0
+    for q in _descend(x, anchor, p, anchor, first):
+        i = k - production
+        s = (i - r) / i * k / x
+        down_tail = math.perm(i, r) * p * s / (1.0 - s)
+        if down_tail <= _UNIT_ROUNDOFF * total:
+            break
+        k, p = k - 1, q
+        terms.append(math.perm(i - 1, r) * p)
+        total += terms[-1]
+        if len(terms) >= _MAX_SERIES_TERMS:
+            raise _over_budget(terms, scale)
+    if k == first:
+        down_tail = 0.0
+    reach = max(reach, anchor - k)
+
+    value = math.fsum(terms)
+    if r == 1 and x <= _ANCHOR_SWITCH:
+        rounding = 3.0 * math.sqrt(reach + 1) * _EPS * value
+    else:
+        rounding = (2 * reach + 8) * _EPS * value
+    bound = (up_tail + down_tail + rounding + anchor_err * value) / scale + floor_tail
+    return EstimateWithError(value / scale, bound, len(terms))
+
+
+_per_term_walk = types.FunctionType(_per_term_walk.__code__, vars(backlog_lab.oracles))
+
+
+def _walk_outcome(walk, *args):
+    """What a walk returns, or the message and best estimate it raises, as exact text."""
+    try:
+        est = walk(*args)
+    except AccuracyError as exc:
+        best = exc.best_estimate
+        return ("raises", str(exc), None if best is None else best.hex())
+    return (est.value.hex(), est.abs_error_bound.hex(), est.n_effective, est.notes)
+
+
+class TestMomentWalk:
+    """The written-out walk against the per-term one: the same bits everywhere."""
+
+    @staticmethod
+    def _calls():
+        rng = random.Random(1515)
+        for _ in range(200):
+            x = 10.0 ** rng.uniform(-3.0, math.log10(3e5))
+            lam = 10.0 ** rng.uniform(-1.0, 1.0)
+            spread = int(3.0 * math.sqrt(x))
+            for production in sorted({0, 1, int(x / 2), max(int(x) - spread, 0), int(x), int(x) + spread, int(2 * x)}):
+                yield x, production, 1, 1.0
+                yield x, production, 2, 2.0 * lam
+        # The floor branch: every term under the smallest normal at a tiny
+        # rate, and terms that fall under the floor at once.
+        for t in (1.0, 1e100, 1e120, 1e200):
+            yield 1e-300 * t, 1, 2, 2e-300
+            yield 1e-300 * t, 1, 1, 1.0
+        for production in (30, 200, 500):
+            yield 5.0, production, 1, 1.0
+            yield 5.0, production, 2, 10.0
+
+    def test_same_bits_as_the_per_term_walk(self):
+        calls = list(self._calls())
+        assert len(calls) >= 2000
+        above = 0
+        for args in calls:
+            assert _walk_outcome(_moment_walk, *args) == _walk_outcome(_per_term_walk, *args), args
+            above += args[0] > 700.0
+        assert 500 < above < len(calls) - 500
+
+    def test_same_bits_past_the_refusal_gate(self):
+        # The first of the two points whose hexes the oracle tests pin; the
+        # other, 5.2 million terms at lambda*t = 1e11, has its value, bound
+        # and term count pinned there.
+        args = (1.2e10, 6_000_000_000, 1, 1.0)
+        assert _walk_outcome(_moment_walk, *args) == _walk_outcome(_per_term_walk, *args)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 40, 1000])
+    def test_budget_runs_out_at_the_same_term(self, monkeypatch, budget):
+        # Upward only (P above the mode), both ways (P = 0 past the switch).
+        monkeypatch.setattr(backlog_lab.oracles, "_MAX_SERIES_TERMS", budget)
+        raised = 0
+        for args in [(5.0, 2, 1, 1.0), (5.0, 2, 2, 3.0), (2500.0, 0, 1, 1.0), (2500.0, 0, 2, 4.0),
+                     (2500.0, 2600, 1, 1.0), (3e4, 100, 2, 1.0)]:
+            outcome = _walk_outcome(_moment_walk, *args)
+            assert outcome == _walk_outcome(_per_term_walk, *args), args
+            raised += outcome[0] == "raises"
+        assert raised >= 1
 
 
 class TestSeriesOracle:
@@ -227,6 +379,7 @@ class TestCumulativeSeriesOracle:
         # value is pinned from a run of the walk without the a-priori check.
         est = cumulative_series_oracle(ModelParams(1.0, 0), 1e11)
         assert est.value.hex() == "0x1.0f17429ac7da0p+72"
+        assert est.abs_error_bound.hex() == "0x1.3e68512587020p+64"
         assert est.n_effective == 5_219_431
 
     @pytest.mark.parametrize("t", [1e14, 1e300])
