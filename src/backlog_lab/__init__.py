@@ -12,102 +12,25 @@ arithmetic, and renders a deterministic comparison report saying which
 variants survive.
 """
 
-from .adjudicator import (
-    CandidateSummary,
-    ComparisonReport,
-    ComparisonRow,
-    SweepGrid,
-    adjudicate,
-    boundary_diagnostic,
-    default_grid,
-    render_report,
-)
-from .closed_forms import (
-    CandidateFormula,
-    CumulativeValue,
-    cumulative_expected_backlog,
-    expected_backlog,
-)
-from .distributions import (
-    ModelParams,
-    erlang_cdf,
-    erlang_density,
-    poisson_term,
-)
-from .errors import AccuracyError, DomainError, ResourceLimitError
-from .identities import (
-    EqualityReport,
-    check_identity_a1,
-    check_identity_a2,
-    check_identity_a3,
-    check_index_shift,
-    power_summand,
-    random_table,
-    table_summand,
-)
-from .laplace import (
-    InversionConfig,
-    forward_transform,
-    image_backlog_prob,
-    image_corollary_form,
-    image_cumulative_backlog,
-    image_expected_backlog,
-    invert_gaver_stehfest,
-    stehfest_weights,
-)
-from .oracles import (
-    EstimateWithError,
-    McConfig,
-    backlog_series_oracle,
-    cumulative_quadrature_oracle,
-    cumulative_series_oracle,
-    monte_carlo_cumulative,
-    nfold_exponential_convolution,
-)
+# Each module's __all__ is its public list, declared where the names are
+# defined; the package root re-exports them all.
+from . import adjudicator, closed_forms, distributions, errors, identities, laplace, oracles
+from .adjudicator import *  # noqa: F401,F403
+from .closed_forms import *  # noqa: F401,F403
+from .distributions import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .identities import *  # noqa: F401,F403
+from .laplace import *  # noqa: F401,F403
+from .oracles import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError",
-    "CandidateFormula",
-    "CandidateSummary",
-    "ComparisonReport",
-    "ComparisonRow",
-    "CumulativeValue",
-    "DomainError",
-    "EqualityReport",
-    "EstimateWithError",
-    "InversionConfig",
-    "McConfig",
-    "ModelParams",
-    "ResourceLimitError",
-    "SweepGrid",
-    "adjudicate",
-    "backlog_series_oracle",
-    "boundary_diagnostic",
-    "check_identity_a1",
-    "check_identity_a2",
-    "check_identity_a3",
-    "check_index_shift",
-    "cumulative_expected_backlog",
-    "cumulative_quadrature_oracle",
-    "cumulative_series_oracle",
-    "default_grid",
-    "erlang_cdf",
-    "erlang_density",
-    "expected_backlog",
-    "forward_transform",
-    "image_backlog_prob",
-    "image_corollary_form",
-    "image_cumulative_backlog",
-    "image_expected_backlog",
-    "invert_gaver_stehfest",
-    "monte_carlo_cumulative",
-    "nfold_exponential_convolution",
-    "poisson_term",
-    "power_summand",
-    "random_table",
-    "render_report",
-    "stehfest_weights",
-    "table_summand",
-]
+__all__ = (
+    adjudicator.__all__
+    + closed_forms.__all__
+    + distributions.__all__
+    + errors.__all__
+    + identities.__all__
+    + laplace.__all__
+    + oracles.__all__
+)

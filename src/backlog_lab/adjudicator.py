@@ -48,8 +48,6 @@ __all__ = [
     "adjudicate",
     "boundary_diagnostic",
     "render_report",
-    "render_rows",
-    "render_record",
 ]
 
 FLAG_GS_SKIPPED = "gs-skipped"
@@ -167,12 +165,12 @@ def adjudicate(
     """Compare every candidate against the oracles on every grid point.
 
     The oracle column comes from cumulative_series_oracle, whose bound
-    must certify it to oracle_tol, a positive finite float.  match_tol must
-    exceed ten times oracle_tol so that oracle noise can never decide a
-    verdict.  Points where the oracle raises or its bound exceeds
-    oracle_tol are flagged and excluded from verdicts; times below the
-    inversion floor, and times so large that the image is not finite at
-    the inversion's abscissae, skip the Gaver-Stehfest column.
+    must certify it to oracle_tol, a positive finite float.  match_tol, also
+    positive and finite, must exceed ten times oracle_tol so that oracle
+    noise can never decide a verdict.  Points where the oracle raises or
+    its bound exceeds oracle_tol are flagged and excluded from verdicts;
+    times below the inversion floor, and times so large that the image is
+    not finite at the inversion's abscissae, skip the Gaver-Stehfest column.
     """
     if candidates is None:
         candidates = tuple(CandidateFormula)
@@ -183,7 +181,7 @@ def adjudicate(
                 raise DomainError(f"unknown candidate {c!r}")
         if not candidates:
             raise DomainError("at least one candidate is required")
-    match_tol = float(match_tol)
+    match_tol = check_positive(match_tol, "match tolerance")
     oracle_tol = check_positive(oracle_tol, "oracle tolerance")
     if not (match_tol > 10.0 * oracle_tol):
         raise DomainError(

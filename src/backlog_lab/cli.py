@@ -31,7 +31,7 @@ from .adjudicator import (
 )
 from .closed_forms import CandidateFormula, cumulative_expected_backlog, expected_backlog
 from .distributions import ModelParams
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, ResourceLimitError, check_int
 from .identities import (
     _check_n,
     check_identity_a1,
@@ -49,6 +49,11 @@ from .laplace import (
 from .oracles import McConfig, monte_carlo_cumulative
 
 __all__ = ["main"]
+
+# Random tables `identities` checks per family.  The worst accepted call,
+# --family all --n-max 1000 --trials 1000, takes about 20 s on a 2-CPU
+# Xeon virtual machine.
+_MAX_TRIALS = 1000
 
 
 class _UsageError(Exception):
@@ -217,7 +222,7 @@ def build_parser() -> _Parser:
         "--trials",
         type=int,
         default=50,
-        help="random summand tables per family (default: 50)",
+        help=f"random summand tables per family, at most {_MAX_TRIALS} (default: %(default)s)",
     )
     add_seed(p)
 
@@ -319,8 +324,9 @@ def _run_simulate(args) -> tuple[int, str, str]:
 
 def _run_identities(args) -> tuple[int, str, str]:
     _check_n(args.n_max, "--n-max", 1)
-    if args.trials < 1:
-        raise DomainError(f"--trials must be at least 1, got {args.trials}")
+    check_int(args.trials, "--trials", 1)
+    if args.trials > _MAX_TRIALS:
+        raise ResourceLimitError(f"--trials {args.trials} exceeds the ceiling of {_MAX_TRIALS}")
     rng = random.Random(_resolve_seed(args.seed))
     families = ("A1", "A2", "A3", "shift") if args.family == "all" else (args.family,)
     checks = {"A1": check_identity_a1, "A2": check_identity_a2, "A3": check_identity_a3}

@@ -33,6 +33,7 @@ one partial per term, each walked by every later term: 4.5 ms for the
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import AccuracyError, check_int, check_nonnegative, check_positive
@@ -117,21 +118,6 @@ def _fsum(terms: list) -> float:
     return math.fsum(terms)
 
 
-def _count_while(holds, limit: int) -> int:
-    """How many of d = 0, 1, .., limit-1 pass `holds` before the first that fails.
-
-    `holds` must be true up to some d and false after it.
-    """
-    lo, hi = 0, limit
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def _walk_up(x: float, k: int, p: float, lo: int, hi: int) -> list[float]:
     """p_lo, p_{lo+1}, .., p_{hi-1} from p = p_k, k <= lo, by p_n = p_{n-1} * x / n.
 
@@ -209,12 +195,12 @@ def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
         inner = min(last, anchor)
         if inner == first or not clears(inner):
             return lo, []
-        first = inner - _count_while(lambda d: clears(inner - 1 - d), inner - first)
+        first = inner - bisect_left(range(inner - first), True, key=lambda d: not clears(inner - 1 - d))
     if last > anchor and not clears(last):
         inner = max(first, anchor)
         if inner == last or not clears(inner):
             return lo, []
-        last = inner + _count_while(lambda d: clears(inner + 1 + d), last - inner)
+        last = inner + bisect_left(range(last - inner), True, key=lambda d: not clears(inner + 1 + d))
     if not _anchor_error(x, anchor) < 1.0:
         raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
     p = math.exp(_log_term(x, anchor))

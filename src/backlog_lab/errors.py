@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+__all__ = ["DomainError", "ResourceLimitError", "AccuracyError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

@@ -28,7 +28,6 @@ from .oracles import EstimateWithError
 from .quadrature import adaptive_simpson
 
 __all__ = [
-    "INVERSION_T_MIN",
     "InversionConfig",
     "image_backlog_prob",
     "image_expected_backlog",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .distributions import (
@@ -36,7 +37,6 @@ from .distributions import (
     _EPS,
     ModelParams,
     _anchor_error,
-    _count_while,
     _descend,
     _log_term,
     poisson_term,
@@ -332,8 +332,9 @@ def _fewest_terms(x: float, production: int, r: int, anchor: int, slack: float) 
         weight = math.perm(k - production, r + 1) * k / (i_anchor * (d + 1) + r * anchor)
         return p_low(k) * weight > limit
 
-    up = _count_while(up_continues, _MAX_SERIES_TERMS)
-    down = _count_while(down_continues, max(min(_MAX_SERIES_TERMS, i_anchor - r), 0))
+    up = bisect_left(range(_MAX_SERIES_TERMS), True, key=lambda d: not up_continues(d))
+    down_limit = max(min(_MAX_SERIES_TERMS, i_anchor - r), 0)
+    down = bisect_left(range(down_limit), True, key=lambda d: not down_continues(d))
     return up + down
 
 

@@ -99,6 +99,19 @@ class TestAdjudicate:
         with pytest.raises(DomainError):
             adjudicate(default_grid(), oracle_tol=oracle_tol)
 
+    def test_infinite_match_tolerance_is_refused(self):
+        # It would pass every candidate, whatever its deviation.
+        with pytest.raises(DomainError, match="positive and finite"):
+            adjudicate(default_grid(), match_tol=math.inf)
+
+    def test_unknown_candidate_is_refused(self):
+        with pytest.raises(DomainError, match="unknown candidate 'compact'"):
+            adjudicate(default_grid(), candidates=("compact",))
+
+    def test_empty_candidates_are_refused(self):
+        with pytest.raises(DomainError, match="at least one candidate"):
+            adjudicate(default_grid(), candidates=())
+
     def test_bound_past_the_oracle_tolerance_is_flagged(self):
         # At lam t = 1e4 the series oracle returns a bound above 1e-9.
         grid = SweepGrid(lambdas=(1.0,), productions=(0,), times=(1.0, 1e4))

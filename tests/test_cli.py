@@ -266,6 +266,22 @@ class TestIdentities:
         assert out == ""
         assert "ceiling of 1000" in err
 
+    def test_trials_above_the_ceiling_are_refused_at_once(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "identities", "--family", "A1", "--n-max", "1", "--trials", "1000000000",
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == "backlog-lab: domain error: --trials 1000000000 exceeds the ceiling of 1000\n"
+
+    def test_zero_trials_are_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "identities", "--trials", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "backlog-lab: domain error: --trials must be at least 1, got 0\n"
+
 
 class TestAdjudicate:
     def test_small_grid_csv(self, capsys):
@@ -321,6 +337,16 @@ class TestAdjudicate:
         assert code == 2
         assert out == ""
         assert "not a number" in err
+
+    def test_infinite_match_tolerance_is_domain_error(self, capsys):
+        # It used to print "original: Matches, max abs dev 2.35".
+        code, out, err = run(
+            capsys, "adjudicate", "--lambda", "1", "--production", "1", "--t-list", "1",
+            "--match-tol", "inf", "--candidate", "original",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "backlog-lab: domain error: match tolerance must be positive and finite, got inf\n"
 
     def test_bad_tolerance_split(self, capsys):
         code, out, err = run(

@@ -280,6 +280,16 @@ class TestSeriesOracle:
             backlog_series_oracle(ModelParams(x, production), 1.0)
         assert info.value.best_estimate is None
 
+    @pytest.mark.parametrize("spread", [3, 5])
+    def test_hopeless_walk_above_the_mode_is_refused_before_any_term(self, spread):
+        # With P above lambda*t the walk's lower bound comes from the
+        # geometric tail above P; without it P = x + 5 sqrt(x) walked for
+        # seconds before it gave up with a wrong best estimate.
+        x = 1e13
+        with pytest.raises(AccuracyError, match="needs more than") as info:
+            backlog_series_oracle(ModelParams(1.0, int(x + spread * math.sqrt(x))), x)
+        assert info.value.best_estimate is None
+
     def test_non_finite_demand_is_domain_error(self):
         with pytest.raises(DomainError):
             backlog_series_oracle(ModelParams(1e200, 0), 1e200)
