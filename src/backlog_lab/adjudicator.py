@@ -91,14 +91,14 @@ class SweepGrid:
     def __post_init__(self):
         if not self.lambdas or not self.productions or not self.times:
             raise DomainError("sweep grid must have at least one value on every axis")
-        for lam in self.lambdas:
-            check_positive(lam, "grid demand rate")
+        # The axes hold the floats the checks return: ints as the floats they
+        # stand for, and -0.0 as the point t = 0.0.
+        lambdas = tuple(check_positive(lam, "grid demand rate") for lam in self.lambdas)
         for p in self.productions:
             check_int(p, "grid production level", 0, MAX_PRODUCTION)
-        for t in self.times:
-            check_nonnegative(t, "grid time")
-        # -0.0 is the point t = 0 and is stored, and printed, as 0.0.
-        object.__setattr__(self, "times", tuple(0.0 if t == 0 else t for t in self.times))
+        times = tuple(check_nonnegative(t, "grid time") for t in self.times)
+        object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "times", times)
         # A repeated value would evaluate, print and count its points twice.
         for axis, values in (("demand rates", self.lambdas), ("production levels", self.productions)):
             if len(set(values)) != len(values):
@@ -367,10 +367,9 @@ def _report_cells(rows, json: bool):
             or r.oracle_bound is not prev.oracle_bound
             or r.gs_value is not prev.gs_value
         ):
-            # Grid axes may hold ints; they print as the floats they stand for.
-            lam = _cell(float(r.lam), json)
+            lam = _cell(r.lam, json)
             production = _cell(r.production, json)
-            t = _cell(float(r.t), json)
+            t = _cell(r.t, json)
             oracle_value = _cell(r.oracle_value, json)
             oracle_bound = _cell(r.oracle_bound, json)
             gs_value = _cell(r.gs_value, json)

@@ -7,7 +7,8 @@ checks), and adjudicate (the full grid comparison).  All diagnostics go to
 stderr; stdout carries data only, written in one shot after the
 computation finishes so a failure can never leave partial output behind.
 
-Exit codes: 0 success, 1 domain error, 2 accuracy error, 3 usage error.
+Exit codes: 0 success, 1 domain error, 2 accuracy error, 3 usage error
+(an --out path that cannot be written among them).
 The BACKLOG_LAB_SEED environment variable supplies a default seed; an
 explicit --seed always wins.
 """
@@ -296,7 +297,7 @@ def _run_cumulative(args) -> tuple[int, str, str]:
         for candidate in candidates:
             result = cumulative_expected_backlog(params, t, candidate)
             rows.append(
-                (params.lam, params.production, t, candidate.value, result.value,
+                (params.lam, params.production, result.t, candidate.value, result.value,
                  ";".join(result.warnings))
             )
     return 0, render_rows(_CUMULATIVE_COLUMNS, rows, args.format), ""
@@ -374,8 +375,11 @@ def _run_adjudicate(args) -> tuple[int, str, str]:
         err_lines.append(f"{s.candidate.value}: {s.verdict}{worst}")
     err = "".join(line + "\n" for line in err_lines)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as sink:
-            sink.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as sink:
+                sink.write(rendered)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out: {exc}") from None
         return 0, "", err
     return 0, rendered, err
 

@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .distributions import ModelParams, _fsum, _poisson_window, _upper_window
+from .distributions import ModelParams, _fsum, _poisson_window, _short_tail
 from .errors import AccuracyError, DomainError, check_nonnegative
 
 __all__ = [
@@ -82,26 +82,24 @@ class CumulativeValue:
 def expected_backlog(params: ModelParams, t: float) -> float:
     """Pointwise expected backlog E[(N-P)^+] = sum_{n>P} (n-P) p_n(lam*t).
 
-    Summed on the short side of x = lam*t.  Where P <= x it is
+    Summed on the short side of x = lam*t, as _short_tail(x, P) picks it,
+    each term weighted by |n-P|.  Where P <= x it is
     x - P + sum_{n<P} (P-n) p_n, the standard loss-function correction
-    accumulated as a single sum of non-negative terms; with P = 0 this is
-    exactly x.  Where P > x that lower sum is the long side, and x - P
-    cancels it to a rounding residue of P that may be negative; the upper
-    tail sum_{n>P} (n-P) p_n, to the cutoff, is short, never negative and
-    keeps its digits.  Raises AccuracyError where poisson_term's anchor has
-    no correct digit.
+    accumulated as a single sum of non-negative terms; with P = 0 that sum
+    is empty and the value is exactly x.  Where P > x that lower sum is the
+    long side, and x - P cancels it to a rounding residue of P that may be
+    negative; the upper tail sum_{n>=P} (n-P) p_n, to the cutoff, is short,
+    never negative and keeps its digits.  Raises AccuracyError where
+    poisson_term's anchor has no correct digit.
     """
     t = check_nonnegative(t, "time")
     lam, production = params.lam, params.production
     x = check_nonnegative(lam * t, "lambda*t")
-    if production > x:
-        first, terms = _upper_window(x, production + 1)
-        return _fsum([(n - production) * q for n, q in enumerate(terms, first)])
-    if production == 0:
-        return x
-    first, terms = _poisson_window(x, 0, production)
-    bracket = _fsum([(production - n) * q for n, q in enumerate(terms, first)])
-    return x - production + bracket
+    above, first, terms = _short_tail(x, production)
+    if not terms:  # no sum to form: most calls at P = 0 or 1 past the switch
+        return 0.0 if above else x - production
+    tail = _fsum([abs(n - production) * q for n, q in enumerate(terms, first)])
+    return tail if above else x - production + tail
 
 
 def _poly(lam: float, production: int, t: float, sign: int) -> float:
@@ -148,8 +146,7 @@ def _eval_original(lam: float, production: int, t: float) -> tuple[float, tuple[
 
 def _eval_compact(lam: float, production: int, t: float) -> tuple[float, tuple[str, ...]]:
     p = production
-    # The window runs to n = P, whose weight is 0, so that it is never empty.
-    first, terms = _poisson_window(lam * t, 0, p + 1)
+    first, terms = _poisson_window(lam * t, 0, p)
     bracket = _fsum([(p - n) * (p - n + 1) * q for n, q in enumerate(terms, first)])
     return _poly(lam, p, t, +1) - bracket / (2.0 * lam), ()
 

@@ -10,9 +10,10 @@ anchored at n = 0 when e^{-x} is representable and at the modal index
 otherwise.  One kernel, _poisson_window, walks each block of terms out of
 that anchor once, after finding where the block meets the cutoff window,
 and returns only its non-zero terms; poisson_term is a block of one, and
-the closed forms sum a block from index 0 with _fsum.  erlang_cdf and
-expected_backlog sum their Poisson tail on its short side: the block
-below n where n <= lambda*t, and above it (_upper_window) where
+the closed forms sum a block from index 0 with _fsum; a block with no
+index is empty.  erlang_cdf and expected_backlog sum their Poisson tail
+on its short side, which one helper, _short_tail, picks: the block below
+n where n <= lambda*t, and the block from n up to the cutoff where
 n > lambda*t.  There the lower block is the long side, and its
 complement 1 - sum, or lambda*t - P + sum, cancels to a rounding residue
 of the larger part; the upper block is short and keeps its digits.
@@ -160,7 +161,7 @@ def _descend(x: float, k: int, p: float, hi: int, lo: int):
 
 
 def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
-    """The terms p_lo .. p_{hi-1} at x = lambda*t >= 0, lo < hi, in one walk.
+    """The terms p_lo .. p_{hi-1} at x = lambda*t >= 0 in one walk.
 
     Returns (first, terms): p_n is terms[n - first] where that index exists
     and 0.0 elsewhere in [lo, hi), so enumerate(terms, first) pairs each
@@ -173,13 +174,14 @@ def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
     "Computing Poisson probabilities", CACM 31(4): indices outside it are
     0.0 without a walk.  A block that reaches that window where the anchor
     has no correct digit (_anchor_error of 1 or more) raises AccuracyError.
+    A range with lo >= hi holds no index and returns (lo, []).
     """
-    if x == 0.0:
-        return (0, [1.0]) if lo == 0 else (lo, [])
+    if lo >= hi:
+        return lo, []
     if x <= _ANCHOR_SWITCH:
         # Below the mode every term is at least e^{-700}, so only an index
-        # above it can fall under the cutoff.
-        if lo > 0 and _log_term(x, lo) < _LOG_CUTOFF:
+        # above it can fall under the cutoff; at x = 0 every one above 0 is.
+        if lo > 0 and (x == 0.0 or _log_term(x, lo) < _LOG_CUTOFF):
             return lo, []
         return lo, _walk_up(x, 0, math.exp(-x), lo, hi)
 
@@ -213,19 +215,25 @@ def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
     return anchor - len(below), below + _walk_up(x, anchor, p, anchor, last + 1)
 
 
-def _upper_window(x: float, lo: int) -> tuple[int, list[float]]:
-    """_poisson_window(x, lo, end) for lo > x, with end past the cutoff window.
+def _short_tail(x: float, k: int) -> tuple[bool, int, list[float]]:
+    """The short side of the Poisson tail split at k, as (above, first, terms).
 
-    By the Chernoff bound p_k <= exp(-(k-x)^2 / (2x + 2(k-x)/3)) above the
-    mode, every p_k with k - x >= 2L/3 + sqrt(2Lx), L = -_LOG_CUTOFF, lies
-    under the cutoff, and reach = 1000 + sqrt(1480 x) is past that: end is
-    lo + reach + 1, and from lo > x + reach the window is empty without a
-    walk or a log term (which cannot take an index past the largest double).
+    Where k <= x = lambda*t, above is False and the terms are p_0 .. p_{k-1}.
+    Where k > x, above is True and the terms are p_k, p_{k+1}, .. up to the
+    cutoff: by the Chernoff bound p_j <= exp(-(j-x)^2 / (2x + 2(j-x)/3))
+    above the mode, every p_j with j - x >= 2L/3 + sqrt(2Lx), L =
+    -_LOG_CUTOFF, lies under the cutoff, and reach = 1000 + sqrt(1480 x) is
+    past that: the window ends at k + reach, and from k > x + reach it is
+    empty without a walk or a log term (which cannot take an index past the
+    largest double).  The other side is long and its sum cancels against
+    the total; first and terms are as _poisson_window returns them.
     """
+    if k <= x:
+        return (False, *_poisson_window(x, 0, k))
     reach = int(1000 + math.sqrt(1480.0 * x))
-    if lo > x + reach:
-        return lo, []
-    return _poisson_window(x, lo, lo + reach + 1)
+    if k > x + reach:
+        return True, k, []
+    return (True, *_poisson_window(x, k, k + reach + 1))
 
 
 def poisson_term(lambda_t: float, n: int) -> float:
@@ -271,21 +279,19 @@ def erlang_cdf(lam: float, n: int, t: float) -> float:
     """P(n-th arrival <= t) = 1 - sum_{j=0}^{n-1} e^{-lam t}(lam t)^j / j!
     = sum_{j >= n} e^{-lam t}(lam t)^j / j!.
 
-    Summed on the short side of x = lam*t: where n <= x, the complement of
-    the correctly rounded sum (fsum, fed largest first through _fsum when
-    the window is long) of p_0 .. p_{n-1}; where n > x, that of p_n, p_{n+1},
-    .. up to the cutoff, which keeps its digits down to the underflow floor
-    where the complement would leave a rounding residue of 1 (2.97e-13 at
-    n = 6064, x = 3031.8, where the truth is below 1e-300).  One window
-    walk either way, clamped into [0, 1] against last-bit rounding of the
-    summation.  Raises AccuracyError where poisson_term's anchor has no
-    correct digit.
+    Summed on the short side of x = lam*t, as _short_tail(x, n) picks it:
+    where n <= x, the complement of the correctly rounded sum (fsum, fed
+    largest first through _fsum when the window is long) of p_0 .. p_{n-1};
+    where n > x, the sum of p_n, p_{n+1}, .. up to the cutoff, which keeps
+    its digits down to the underflow floor where the complement would leave
+    a rounding residue of 1 (2.97e-13 at n = 6064, x = 3031.8, where the
+    truth is below 1e-300).  One window walk either way, clamped into
+    [0, 1] against last-bit rounding of the summation.  Raises
+    AccuracyError where poisson_term's anchor has no correct digit.
     """
     _, x = _erlang_args(lam, n, t)
-    if n > x:
-        cdf = _fsum(_upper_window(x, n)[1])
-    else:
-        cdf = 1.0 - _fsum(_poisson_window(x, 0, n)[1])
+    above, _, terms = _short_tail(x, n)
+    cdf = _fsum(terms) if above else 1.0 - _fsum(terms)
     if cdf < 0.0:
         return 0.0
     if cdf > 1.0:

@@ -36,18 +36,28 @@ class AccuracyError(RuntimeError):
 
 def check_positive(value: float, what: str) -> float:
     """value as a float, if it is positive and finite."""
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the largest double
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{what} must be positive and finite, got {value!r}")
     return value
 
 
 def check_nonnegative(value: float, what: str) -> float:
-    """value as a float, if it is non-negative and finite."""
-    value = float(value)
+    """value as a float, if it is non-negative and finite, with -0.0 as 0.0.
+
+    The two zeros are one point of the domain, so every caller that keeps
+    or prints the checked value sees 0.0 and needs no rule of its own.
+    """
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the largest double
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value) or value < 0.0:
         raise DomainError(f"{what} must be non-negative and finite, got {value!r}")
-    return value
+    return value + 0.0  # -0.0 + 0.0 is 0.0; every other value is unchanged
 
 
 def check_int(value: int, what: str, low: int | None = None, high: int | None = None) -> int:

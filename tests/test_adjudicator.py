@@ -20,6 +20,7 @@ from backlog_lab.adjudicator import (
     FLAG_BOUNDARY,
     FLAG_GS_SKIPPED,
     FLAG_ORACLE_FAILURE,
+    VERDICT_UNDEFINED,
     ComparisonReport,
     SweepGrid,
     _cell,
@@ -169,6 +170,18 @@ class TestAdjudicate:
         report = adjudicate(grid, candidates=(CandidateFormula.COMPACT,))
         assert len(report.rows) == 1
         assert report.rows[0].candidate is CandidateFormula.COMPACT
+
+
+class TestUndefinedVerdict:
+    def test_matching_wherever_defined_is_not_a_clean_pass(self):
+        # eq10 is undefined at P = 0 and within 2e-7 of the oracle at P = 1.
+        report = adjudicate(
+            SweepGrid((1e7,), (0, 1), (1e-6,)), candidates=(CandidateFormula.EQ10,)
+        )
+        (summary,) = report.summary
+        assert summary.verdict == VERDICT_UNDEFINED
+        assert (summary.n_points, summary.n_undefined) == (2, 1)
+        assert summary.max_abs_dev == pytest.approx(2.0e-7, rel=1e-9)
 
 
 class TestDefaultGridVerdicts:

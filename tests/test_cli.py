@@ -5,11 +5,14 @@ import io
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
+from backlog_lab import cli
 from backlog_lab.adjudicator import adjudicate, default_grid, render_report
 from backlog_lab.cli import main
+from backlog_lab.identities import EqualityReport
 from backlog_lab.laplace import InversionConfig
 
 SUBCOMMANDS = ("eval", "cumulative", "invert", "simulate", "identities", "adjudicate")
@@ -46,6 +49,11 @@ class TestEval:
         assert out == ""
         assert "lambda*t" in err
 
+    def test_negative_zero_time_prints_zero(self, capsys):
+        # The bare argument used to come back as the value: -0.
+        code, out, _ = run(capsys, "eval", "--lambda", "1", "--production", "0", "--t=-0")
+        assert (code, out) == (0, "0\n")
+
     def test_production_far_above_demand_prints_zero(self, capsys):
         # The lower-sum form printed -1.1084484867751598e-06 here.
         code, out, _ = run(capsys, "eval", "--lambda", "30182.4", "--production", "60365", "--t", "1")
@@ -76,6 +84,29 @@ class TestCumulative:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3
         assert float(rows[2]["value"]) == pytest.approx(0.32332358381693649, rel=1e-12)
+
+    def test_negative_zero_time_prints_as_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "cumulative", "--lambda", "1", "--production", "2",
+            "--t-list=-0,1", "--candidate", "compact",
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("1,2,0,compact,")
+
+    def test_single_value_carries_its_warning_to_stderr(self, capsys):
+        code, out, err = run(
+            capsys, "cumulative", "--lambda", "1", "--production", "0",
+            "--t", "1", "--candidate", "note",
+        )
+        assert (code, out, err) == (0, "0.5\n", "warning: undefined-term\n")
+
+    def test_malformed_time_list_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "cumulative", "--lambda", "1", "--production", "1", "--t-list", "1,,2",
+        )
+        assert code == 3
+        assert out == ""
+        assert "expected comma-separated numbers" in err
 
     def test_all_candidates_json(self, capsys):
         code, out, _ = run(
@@ -256,6 +287,20 @@ class TestIdentities:
         assert code == 0
         assert "all passed" in out
 
+    def test_failed_checks_are_listed_and_exit_one(self, capsys, monkeypatch):
+        def unequal(n, table):
+            return EqualityReport("A1", n, Fraction(1), Fraction(2), False)
+
+        monkeypatch.setattr(cli, "check_identity_a1", unequal)
+        code, out, _ = run(
+            capsys, "identities", "--family", "A1", "--n-max", "5", "--trials", "3", "--seed", "1",
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert all(line.endswith(": 1 != 2") for line in lines[:3])
+        assert lines[3] == "FAILED: 3 of the exact checks"
+
     def test_n_max_above_the_ceiling_is_refused_at_once(self, capsys):
         start = time.monotonic()
         code, out, err = run(
@@ -317,6 +362,19 @@ class TestAdjudicate:
         text = target.read_text()
         assert text.startswith("lambda,")
         assert "Fails" in err
+
+    def test_out_path_that_cannot_be_opened_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.csv"
+        code, out, err = run(
+            capsys, "adjudicate", "--lambda", "1", "--production", "1",
+            "--t-list", "1", "--out", str(target),
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("backlog-lab: error: ")
+        assert "Traceback" not in err
+        assert not target.parent.exists()
 
     def test_json_format(self, capsys):
         code, out, _ = run(

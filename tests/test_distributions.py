@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backlog_lab.adjudicator import SweepGrid
 from backlog_lab.closed_forms import expected_backlog
 from backlog_lab.distributions import (
     _ANCHOR_SWITCH,
@@ -23,7 +24,7 @@ from backlog_lab.distributions import (
     erlang_density,
     poisson_term,
 )
-from backlog_lab.errors import AccuracyError, DomainError
+from backlog_lab.errors import AccuracyError, DomainError, check_nonnegative
 from backlog_lab.quadrature import adaptive_simpson
 
 # The benchmark's mpmath references (50 digits), which import nothing
@@ -114,6 +115,24 @@ class TestModelParams:
         p = ModelParams(1.0, 1)
         with pytest.raises(Exception):
             p.lam = 2.0
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call", [
+        lambda: ModelParams(10**400, 1),
+        lambda: poisson_term(10**400, 3),
+        lambda: erlang_cdf(1.0, 2, 10**400),
+        lambda: expected_backlog(ModelParams(1.0, 1), 10**400),
+        lambda: SweepGrid((10**400,), (1,), (1.0,)),
+    ], ids=["ModelParams", "poisson_term", "erlang_cdf", "expected_backlog", "SweepGrid"])
+    def test_int_too_large_for_a_float_is_a_domain_error(self, call):
+        # Each raised OverflowError from float() before the check could.
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
+    def test_negative_zero_is_zero(self):
+        value = check_nonnegative(-0.0, "time")
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestPoissonTerm:
@@ -236,6 +255,11 @@ class TestPoissonWindow:
         assert abs(erlang_cdf(1.0, 20_000, 2e4) - references.poisson_tail(2e4, 20_000)) <= 1e-9
         value = expected_backlog(ModelParams(1.0, 60_000), 3e4)
         assert abs(value - references.expected_backlog(3e4, 60_000)) <= 1e-9 * 60_000
+
+    @pytest.mark.parametrize("x, lo, hi", [(1.0, 0, 0), (2000.0, 0, 0), (0.0, 0, 0), (5.0, 4, 2)])
+    def test_range_without_an_index_is_empty(self, x, lo, hi):
+        # (1.0, 0, 0) gave p_0, and (2000.0, 0, 0) a ValueError from lgamma.
+        assert _poisson_window(x, lo, hi) == (lo, [])
 
     def test_cutoff_needs_no_walk_to_the_far_end(self):
         # p_0 at lambda*t = 1e300 lies under the cutoff; a walk from the mode

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from backlog_lab.closed_forms import expected_backlog
 from backlog_lab.distributions import ModelParams, erlang_density, poisson_term
-from backlog_lab.errors import DomainError
+from backlog_lab.errors import AccuracyError, DomainError
 from backlog_lab.laplace import (
     INVERSION_T_MIN,
     InversionConfig,
@@ -139,6 +139,17 @@ class TestForwardTransform:
     def test_linear_original(self):
         est = forward_transform(lambda t: t, 1.0, 1e-10, growth_degree=1)
         assert abs(est.value - 1.0) < 1e-10
+
+    def test_quadratic_original(self):
+        # integral_0^inf t^2 e^{-t} dt = 2.
+        est = forward_transform(lambda t: t * t, 1.0, 1e-10, growth_degree=2)
+        assert abs(est.value - 2.0) <= est.abs_error_bound < 1e-10
+
+    def test_tail_that_cannot_be_bounded_is_refused(self):
+        # At s = 1e-16 the truncation point would pass 1e15 before the
+        # tail majorant fell below the tolerance.
+        with pytest.raises(AccuracyError, match="transform tail"):
+            forward_transform(lambda t: 1.0, 1e-16, 1e-9)
 
     def test_exponential_original(self):
         lam, s = 1.3, 0.7
