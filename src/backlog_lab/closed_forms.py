@@ -82,23 +82,22 @@ class CumulativeValue:
 def expected_backlog(params: ModelParams, t: float) -> float:
     """Pointwise expected backlog E[(N-P)^+] = sum_{n>P} (n-P) p_n(lam*t).
 
-    Summed on the short side of x = lam*t, as _short_tail(x, P) picks it,
-    each term weighted by |n-P|.  Where P <= x it is
+    Summed on the short side of x = lam*t by _short_tail(x, P, 1), each
+    term weighted by |n-P|.  Where P <= x it is
     x - P + sum_{n<P} (P-n) p_n, the standard loss-function correction
-    accumulated as a single sum of non-negative terms; with P = 0 that sum
-    is empty and the value is exactly x.  Where P > x that lower sum is the
-    long side, and x - P cancels it to a rounding residue of P that may be
-    negative; the upper tail sum_{n>=P} (n-P) p_n, to the cutoff, is short,
-    never negative and keeps its digits.  Raises AccuracyError where
+    accumulated as a single correctly rounded sum of non-negative terms;
+    with P = 0 that sum is empty and the value is exactly x.  Where P > x
+    that lower sum is the long side, and x - P cancels it to a rounding
+    residue of P that may be negative; the upper tail
+    sum_{n>=P} (n-P) p_n, to the cutoff, is short, never negative and keeps
+    its digits.  A long window is walked only as far as its rounded sum
+    needs, with the bits of the whole window.  Raises AccuracyError where
     poisson_term's anchor has no correct digit.
     """
     t = check_nonnegative(t, "time")
     lam, production = params.lam, params.production
     x = check_nonnegative(lam * t, "lambda*t")
-    above, first, terms = _short_tail(x, production)
-    if not terms:  # no sum to form: most calls at P = 0 or 1 past the switch
-        return 0.0 if above else x - production
-    tail = _fsum([abs(n - production) * q for n, q in enumerate(terms, first)])
+    above, tail = _short_tail(x, production, 1)
     return tail if above else x - production + tail
 
 

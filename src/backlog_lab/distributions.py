@@ -8,27 +8,35 @@ factorials appear nowhere: terms are generated by the one-step recurrence
 
 anchored at n = 0 when e^{-x} is representable and at the modal index
 otherwise.  One kernel, _poisson_window, walks each block of terms out of
-that anchor once, after finding where the block meets the cutoff window,
-and returns only its non-zero terms; poisson_term is a block of one, and
-the closed forms sum a block from index 0 with _fsum; a block with no
-index is empty.  erlang_cdf and expected_backlog sum their Poisson tail
-on its short side, which one helper, _short_tail, picks: the block below
-n where n <= lambda*t, and the block from n up to the cutoff where
-n > lambda*t.  There the lower block is the long side, and its
-complement 1 - sum, or lambda*t - P + sum, cancels to a rounding residue
-of the larger part; the upper block is short and keeps its digits.
-Every term is the same product, formed in the same order, whichever block
-it is computed in, so neighbouring terms are consistent to machine
-precision, which the rest of the package relies on.  Where the modal
-anchor has no correct digit (above lambda*t of about 2e13) a block that
-reaches the cutoff window raises AccuracyError instead of a value.
+that anchor once, after _cutoff_range has found where the block meets the
+cutoff window, and returns only its non-zero terms; poisson_term is a
+block of one, and the closed forms sum a block from index 0 with _fsum; a
+block with no index is empty.  erlang_cdf and expected_backlog sum their
+Poisson tail on its short side, which one helper, _short_tail, picks and
+sums: the block below n where n <= lambda*t, and the block from n up to
+the cutoff where n > lambda*t.  There the lower block is the long side,
+and its complement 1 - sum, or lambda*t - P + sum, cancels to a rounding
+residue of the larger part; the upper block is short and keeps its
+digits.  Every term is the same product, formed in the same order,
+whichever block it is computed in, so neighbouring terms are consistent
+to machine precision, which the rest of the package relies on.  Where the
+modal anchor has no correct digit (above lambda*t of about 2e13) a block
+that reaches the cutoff window raises AccuracyError instead of a value.
+
+A short side's window is walked only as far as its rounded sum needs.
+Once the window is known to be longer than a near reach of about
+sqrt(100 x) terms from n, _short_tail sums that reach alone and bounds the
+rest by a geometric majorant delta; where fsum(kept) == fsum(kept +
+[delta]), the full window's sum rounds to the same double and is not
+walked (1,771 of its 6,393 terms at lambda*t = 30182.4, P = 30182).
+Otherwise the full window is walked, so no bit depends on the stop.
 
 _fsum hands a long list of non-negative terms to math.fsum largest first.
 fsum rounds the exact sum correctly, so the order never changes a bit,
 but in index order a window that rises out of the left tail leaves fsum
 one partial per term, each walked by every later term: 4.5 ms for the
-6,211 weighted terms of expected_backlog at lambda*t = 30182.4, P = 30000,
-0.25 ms sorted.
+6,211 weighted terms of the full window of expected_backlog at lambda*t =
+30182.4, P = 30000, 0.25 ms sorted.
 """
 
 from __future__ import annotations
@@ -62,6 +70,17 @@ _EPS = 2.220446049250313e-16
 # Largest production level: the largest power of ten at which P(P+1), which
 # every cumulative candidate forms as a double, is still finite.
 MAX_PRODUCTION = 10**154
+
+# Smallest positive normal double; below it a term loses relative precision.
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+# L of the near reach 1 + 2L/3 + sqrt(2Lx), about sqrt(100 x), to which
+# _short_tail walks a long window first.  By the Chernoff bounds the terms
+# past it are about e^{-50} = 2e-22 of the largest or less, under the unit
+# roundoff of any sum they join.  The reach is only a guess: a certificate
+# decides whether it was far enough, and a miss costs a second walk, never
+# a bit.
+_STOP_LOG = 50.0
 
 # Lists longer than this are sorted before math.fsum; on shorter ones the
 # sort costs more than it saves (a 16-term window sums in 0.43 us in index
@@ -123,9 +142,9 @@ def _walk_up(x: float, k: int, p: float, lo: int, hi: int) -> list[float]:
     """p_lo, p_{lo+1}, .., p_{hi-1} from p = p_k, k <= lo, by p_n = p_{n-1} * x / n.
 
     Ends before the first term below the floor: that term and every one
-    after it are 0.0 and left out.  A list, not a generator like
-    _descend: below the switch every block comes this way, and the
-    generator cost a fifth of a microsecond more per block.
+    after it are 0.0 and left out.  A list, not a generator: below the
+    switch every block comes this way, and a generator cost a fifth of a
+    microsecond more per block.
     """
     for n in range(k + 1, lo + 1):
         p *= x / n
@@ -140,24 +159,61 @@ def _walk_up(x: float, k: int, p: float, lo: int, hi: int) -> list[float]:
     return terms
 
 
-def _descend(x: float, k: int, p: float, hi: int, lo: int):
-    """p_{hi-1}, p_{hi-2}, .., p_lo from p = p_k, hi <= k + 1, by p_{n-1} = p_n * n / x.
+def _descend(x: float, k: int, p: float, hi: int, lo: int) -> list[float]:
+    """p_{hi-1}, p_{hi-2}, .., p_lo from p = p_k, lo < hi <= k + 1, by p_{n-1} = p_n * n / x.
 
-    Nothing when hi <= lo.  Ends before the first term below the floor,
-    like _walk_up.  Lazy, so that a caller summing downwards may stop early.
+    Ends before the first term below the floor, like _walk_up, and returns
+    a list like it.
     """
-    if hi <= lo:
-        return
     for n in range(k, hi - 1, -1):
         p *= n / x
         if p < UNDERFLOW_FLOOR:
-            return
-    yield p
+            return []
+    terms = [p]
     for n in range(hi - 1, lo, -1):
         p *= n / x
         if p < UNDERFLOW_FLOOR:
-            return
-        yield p
+            break
+        terms.append(p)
+    return terms
+
+
+def _cutoff_range(x: float, lo: int, hi: int) -> tuple[int, int]:
+    """(first, end): the indices of [lo, hi) in the cutoff window, as [first, end).
+
+    Above the switch the ends of the cutoff window {n : _log_term(x, n) >=
+    _LOG_CUTOFF} that fall inside [lo, hi) are found by bisection, after Fox
+    and Glynn (1988), "Computing Poisson probabilities", CACM 31(4), so the
+    window's length is known before any walk.  Below it only lo is tested:
+    every index under the mode clears, and the walk stops itself at the
+    floor above it.  (lo, lo) where no index of [lo, hi) clears.
+    """
+    if lo >= hi:
+        return lo, lo
+    if x <= _ANCHOR_SWITCH:
+        # Below the mode every term is at least e^{-700}, so only an index
+        # above it can fall under the cutoff; at x = 0 every one above 0 is.
+        if lo > 0 and (x == 0.0 or _log_term(x, lo) < _LOG_CUTOFF):
+            return lo, lo
+        return lo, hi
+
+    anchor = int(x)
+    first, last = lo, hi - 1
+    # Where an end of [lo, hi) falls under the cutoff, bisection counts the
+    # indices from `inner` towards it that still clear.
+    if first < anchor and _log_term(x, first) < _LOG_CUTOFF:
+        inner = min(last, anchor)
+        if inner == first or _log_term(x, inner) < _LOG_CUTOFF:
+            return lo, lo
+        below = lambda d: _log_term(x, inner - 1 - d) < _LOG_CUTOFF  # noqa: E731
+        first = inner - bisect_left(range(inner - first), True, key=below)
+    if last > anchor and _log_term(x, last) < _LOG_CUTOFF:
+        inner = max(first, anchor)
+        if inner == last or _log_term(x, inner) < _LOG_CUTOFF:
+            return lo, lo
+        below = lambda d: _log_term(x, inner + 1 + d) < _LOG_CUTOFF  # noqa: E731
+        last = inner + bisect_left(range(last - inner), True, key=below)
+    return first, last + 1
 
 
 def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
@@ -165,75 +221,106 @@ def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
 
     Returns (first, terms): p_n is terms[n - first] where that index exists
     and 0.0 elsewhere in [lo, hi), so enumerate(terms, first) pairs each
-    non-zero term with its index.  The walk starts from the anchor, p_0 =
-    e^{-x} up to the switch and the modal term above it, and forms the same
-    products in the same order as a walk from the anchor to each index on
-    its own, so every term keeps its bits.  Above the switch the ends of
-    the cutoff window {n : _log_term(x, n) >= _LOG_CUTOFF} that fall inside
-    [lo, hi) are found first, by bisection, after Fox and Glynn (1988),
-    "Computing Poisson probabilities", CACM 31(4): indices outside it are
-    0.0 without a walk.  A block that reaches that window where the anchor
-    has no correct digit (_anchor_error of 1 or more) raises AccuracyError.
-    A range with lo >= hi holds no index and returns (lo, []).
+    non-zero term with its index.  The walk covers only the indices that
+    _cutoff_range keeps; indices outside them are 0.0 without a walk.  It
+    starts from the anchor, p_0 = e^{-x} up to the switch and the modal
+    term above it, and forms the same products in the same order as a walk
+    from the anchor to each index on its own, so every term keeps its bits.
+    A block that reaches the cutoff window where the anchor has no correct
+    digit (_anchor_error of 1 or more) raises AccuracyError.  A range with
+    lo >= hi holds no index and returns (lo, []).
     """
-    if lo >= hi:
+    first, end = _cutoff_range(x, lo, hi)
+    if first >= end:
         return lo, []
     if x <= _ANCHOR_SWITCH:
-        # Below the mode every term is at least e^{-700}, so only an index
-        # above it can fall under the cutoff; at x = 0 every one above 0 is.
-        if lo > 0 and (x == 0.0 or _log_term(x, lo) < _LOG_CUTOFF):
-            return lo, []
-        return lo, _walk_up(x, 0, math.exp(-x), lo, hi)
-
+        return first, _walk_up(x, 0, math.exp(-x), first, end)
     anchor = int(x)
-    first, last = lo, hi - 1
-
-    def clears(n: int) -> bool:
-        return _log_term(x, n) >= _LOG_CUTOFF
-
-    # Where an end of [lo, hi) falls under the cutoff, bisection counts the
-    # indices from `inner` towards it that still clear.
-    if first < anchor and not clears(first):
-        inner = min(last, anchor)
-        if inner == first or not clears(inner):
-            return lo, []
-        first = inner - bisect_left(range(inner - first), True, key=lambda d: not clears(inner - 1 - d))
-    if last > anchor and not clears(last):
-        inner = max(first, anchor)
-        if inner == last or not clears(inner):
-            return lo, []
-        last = inner + bisect_left(range(last - inner), True, key=lambda d: not clears(inner + 1 + d))
     if not _anchor_error(x, anchor) < 1.0:
         raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
     p = math.exp(_log_term(x, anchor))
     if first >= anchor:
-        return first, _walk_up(x, anchor, p, first, last + 1)
-    below = list(_descend(x, anchor, p, min(last + 1, anchor), first))
+        return first, _walk_up(x, anchor, p, first, end)
+    below = _descend(x, anchor, p, min(end, anchor), first)
     below.reverse()
-    if last < anchor:
-        return last + 1 - len(below), below
-    return anchor - len(below), below + _walk_up(x, anchor, p, anchor, last + 1)
+    if end <= anchor:
+        return end - len(below), below
+    return anchor - len(below), below + _walk_up(x, anchor, p, anchor, end)
 
 
-def _short_tail(x: float, k: int) -> tuple[bool, int, list[float]]:
-    """The short side of the Poisson tail split at k, as (above, first, terms).
+def _short_tail(x: float, k: int, r: int) -> tuple[bool, float]:
+    """The short side of the Poisson tail split at k, as (above, sum of |n-k|^r p_n).
 
-    Where k <= x = lambda*t, above is False and the terms are p_0 .. p_{k-1}.
-    Where k > x, above is True and the terms are p_k, p_{k+1}, .. up to the
-    cutoff: by the Chernoff bound p_j <= exp(-(j-x)^2 / (2x + 2(j-x)/3))
-    above the mode, every p_j with j - x >= 2L/3 + sqrt(2Lx), L =
-    -_LOG_CUTOFF, lies under the cutoff, and reach = 1000 + sqrt(1480 x) is
-    past that: the window ends at k + reach, and from k > x + reach it is
-    empty without a walk or a log term (which cannot take an index past the
-    largest double).  The other side is long and its sum cancels against
-    the total; first and terms are as _poisson_window returns them.
+    r is 0 (the tail's mass) or 1 (its first moment about k).  Where
+    k <= x = lambda*t, above is False and the sum runs over p_0 .. p_{k-1};
+    where k > x, above is True and it runs over p_k, p_{k+1}, .. up to the
+    cutoff.  The other side is long and its sum cancels against the total.
+    By the Chernoff bound p_j <= exp(-(j-x)^2 / (2x + 2(j-x)/3)) above the
+    mode (and exp(-(x-j)^2 / 2x) below it), every p_j with
+    |j - x| >= 2L/3 + sqrt(2Lx) lies under e^{-L}.  With L = -_LOG_CUTOFF
+    that makes reach = 1000 + sqrt(1480 x) past the cutoff: the upper
+    window ends at k + reach, and from k > x + reach it is empty without a
+    walk or a log term (which cannot take an index past the largest double).
+
+    The sum is the correctly rounded one (fsum, through _fsum) over every
+    non-zero term of the window, but a window longer than the near reach,
+    1 + 2L/3 + sqrt(2Lx) at L = _STOP_LOG, is walked first only that far
+    from k.  _rest_bound bounds the terms the full walk would add beyond it
+    by a delta >= 0.  If fsum(kept) == fsum(kept + [delta]), every exact
+    sum in between rounds to the same double (fsum rounds correctly and
+    rounding is monotone), the full window's sum among them, and that is
+    returned.  Otherwise the full window is walked and summed, so the
+    result is always its bits.
     """
     if k <= x:
-        return (False, *_poisson_window(x, 0, k))
-    reach = int(1000 + math.sqrt(1480.0 * x))
-    if k > x + reach:
-        return True, k, []
-    return (True, *_poisson_window(x, k, k + reach + 1))
+        above, lo, hi = False, 0, k
+    else:
+        reach = int(1000 + math.sqrt(1480.0 * x))
+        if k > x + reach:
+            return True, 0.0
+        above, lo, hi = True, k, k + reach + 1
+    first, end = _cutoff_range(x, lo, hi)
+    if first >= end:
+        return above, 0.0
+    near = 1 + int(_STOP_LOG / 1.5 + math.sqrt(2.0 * _STOP_LOG * x))
+    if end - first > near:
+        start, terms = _poisson_window(x, k, k + near) if above else _poisson_window(x, k - near, k)
+        # Where the floor ends the near walk, it ends the window's there too.
+        delta = 0.0 if len(terms) < near else _rest_bound(x, k, r, above, near, terms, end - first)
+        kept = _weighted(terms, start, k, r)
+        total = _fsum(kept)
+        if math.fsum(kept + [delta]) == total:
+            return above, total
+    start, terms = _poisson_window(x, first, end)
+    return above, _fsum(_weighted(terms, start, k, r))
+
+
+def _weighted(terms: list[float], start: int, k: int, r: int) -> list[float]:
+    """|n-k|^r p_n for the terms p_start, p_{start+1}, .., r = 0 or 1: the list itself at r = 0."""
+    return terms if r == 0 else [abs(n - k) * q for n, q in enumerate(terms, start)]
+
+
+def _rest_bound(x: float, k: int, r: int, above: bool, near: int, terms: list[float], length: int) -> float:
+    """A bound on the sum of |n-k|^r p_n, as the float walk forms them, past the near reach.
+
+    terms are the near reach's, p_m the last of them, at m = k + near - 1
+    (above) or k - near (below), a = |m - k| from k, and length is the
+    window's.  Each further step multiplies a term by at most sigma: the
+    recurrence's exact ratio, m/x below and x/(m+1) above, only falls away
+    from the mode, and its two roundings (and, below the switch, those of
+    the upward walk read backwards) fit in the 4 eps margin.  So the
+    weighted rest is at most p_m sum_{j>=1} (a+j)^r sigma^j =
+    p_m g (a + 1 + g)^r with g = sigma / (1 - sigma), charged twice over
+    for the roundings of the weights and of this bound.  That holds while
+    the terms are normal; a subnormal one may stop shrinking (one step then
+    moves it by less than half an ulp), so every term of the window is also
+    charged the smallest normal at the window's largest weight, length^r.
+    inf where sigma >= 1.
+    """
+    m, p_m = (k + near - 1, terms[-1]) if above else (k - near, terms[0])
+    sigma = (x / (m + 1) if above else m / x) * (1.0 + 4 * _EPS)
+    g = sigma / (1.0 - sigma) if sigma < 1.0 else math.inf
+    return 2.0 * (p_m * g * (abs(m - k) + 1 + g) ** r + length ** (r + 1) * _SMALLEST_NORMAL)
 
 
 def poisson_term(lambda_t: float, n: int) -> float:
@@ -279,19 +366,20 @@ def erlang_cdf(lam: float, n: int, t: float) -> float:
     """P(n-th arrival <= t) = 1 - sum_{j=0}^{n-1} e^{-lam t}(lam t)^j / j!
     = sum_{j >= n} e^{-lam t}(lam t)^j / j!.
 
-    Summed on the short side of x = lam*t, as _short_tail(x, n) picks it:
-    where n <= x, the complement of the correctly rounded sum (fsum, fed
-    largest first through _fsum when the window is long) of p_0 .. p_{n-1};
-    where n > x, the sum of p_n, p_{n+1}, .. up to the cutoff, which keeps
-    its digits down to the underflow floor where the complement would leave
-    a rounding residue of 1 (2.97e-13 at n = 6064, x = 3031.8, where the
-    truth is below 1e-300).  One window walk either way, clamped into
-    [0, 1] against last-bit rounding of the summation.  Raises
-    AccuracyError where poisson_term's anchor has no correct digit.
+    Summed on the short side of x = lam*t by _short_tail(x, n, 0): where
+    n <= x, the complement of the correctly rounded sum (fsum, fed largest
+    first through _fsum when the window is long) of p_0 .. p_{n-1}; where
+    n > x, the sum of p_n, p_{n+1}, .. up to the cutoff, which keeps its
+    digits down to the underflow floor where the complement would leave a
+    rounding residue of 1 (2.97e-13 at n = 6064, x = 3031.8, where the
+    truth is below 1e-300).  A long window is walked only as far as its
+    rounded sum needs, with the bits of the whole window.  The result is
+    clamped into [0, 1] against last-bit rounding of the summation.
+    Raises AccuracyError where poisson_term's anchor has no correct digit.
     """
     _, x = _erlang_args(lam, n, t)
-    above, _, terms = _short_tail(x, n)
-    cdf = _fsum(terms) if above else 1.0 - _fsum(terms)
+    above, tail = _short_tail(x, n, 0)
+    cdf = tail if above else 1.0 - tail
     if cdf < 0.0:
         return 0.0
     if cdf > 1.0:

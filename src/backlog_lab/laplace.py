@@ -221,8 +221,8 @@ def invert_gaver_stehfest(
     """
     if config is None:
         config = InversionConfig()
-    t = float(t)
-    if not math.isfinite(t) or t < INVERSION_T_MIN:
+    t = check_positive(t, "inversion time")
+    if t < INVERSION_T_MIN:
         raise DomainError(f"inversion time must be >= {INVERSION_T_MIN!r}, got {t!r}")
     weights = stehfest_weights(config.order)
     scale = _LN2 / t

@@ -35,9 +35,10 @@ from dataclasses import dataclass
 from .distributions import (
     _ANCHOR_SWITCH,
     _EPS,
+    _SMALLEST_NORMAL,
+    UNDERFLOW_FLOOR,
     ModelParams,
     _anchor_error,
-    _descend,
     _log_term,
     poisson_term,
 )
@@ -77,8 +78,9 @@ _MAX_SERIES_TERMS = 10_000_000
 _REFUSAL_GATE = 1e10
 
 _UNIT_ROUNDOFF = 0.5 * _EPS
-# Smallest positive normal double; below it a term loses relative precision.
-_SMALLEST_NORMAL = 2.2250738585072014e-308
+# The downward walk's majorant is at least the next weighted term times
+# this (see _moment_walk).
+_DOWN_MARGIN = 1.0 - 8.0 * _EPS
 
 # Most doubles in one array a call allocates, 800 MB: Monte Carlo's
 # per-path results and each convolution grid are refused past it.
@@ -179,11 +181,15 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     and above _REFUSAL_GATE before any term where the anchor has no
     correct digit or the walk provably needs that many.
 
-    Both loops form each weight, i p or i (i-1) p, and the upward majorant
-    p _weighted_tail(i, r, rho) written out, in place of a call per term;
-    the upward step reuses rho, and the budget counts down.  The products
-    and their order are those of the calls, so every bit is the same, in
-    about three quarters of the time at lambda*t = 3e4.
+    Both loops walk inline and keep (i)_r as an exact int, updated by its
+    differences; the upward step reuses rho, and the budget counts down.
+    Each loop tests the weighted term before its majorant: the majorant is
+    never below that term (upwards) or below the next one less 16 unit
+    roundoffs (downwards), so while that term is above the unit roundoff of
+    the sum the walk cannot stop, and the majorant, written out in place of
+    a _weighted_tail call, is formed only once it could.  The products and
+    their order are those of a walk that forms every majorant, so every bit
+    is the same, in about 70% of the time at lambda*t = 3e4, P = 0.
     """
     if x == 0.0:
         return EstimateWithError(0.0, 0.0, 0)
@@ -209,9 +215,18 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     left = _MAX_SERIES_TERMS  # terms the budget still allows
     floor_tail = 0.0  # a tail charged under the smallest normal, over scale
     k, p, i = start, p_start, start - production
+    # (i)_r as an exact int, updated by its differences: (i+1)_r - (i)_r
+    # is 1 for r = 1 and 2i for r = 2.
+    ff, dff, ddff = (i, 1, 0) if r == 1 else (i * (i - 1), 2 * i, 2)
     while True:
         rho = x / (k + 1)
-        if rho < 1.0:
+        w = ff * p  # (i)_r p
+        # The majorant fl(p W), W = _weighted_tail(i, r, rho), is never below
+        # w = fl((i)_r p): fl(W) >= (i)_r and rounding is monotone.  So while
+        # w is above the unit roundoff of the sum the walk cannot stop, and
+        # the majorant is formed only once w is not.
+        if rho < 1.0 and (w <= _UNIT_ROUNDOFF * total or p < _SMALLEST_NORMAL):
+            i = k - production
             if p < _SMALLEST_NORMAL:
                 # Every later term is smaller still.  Charge them at this
                 # term's own bound, or at the smallest normal if that is
@@ -236,37 +251,55 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
                 up_tail = p * (i * (i - 1) / d + 2.0 * i * rho / (d * d) + 2.0 * rho * rho / (d * d * d))
             if up_tail <= _UNIT_ROUNDOFF * total:
                 break
-        w = i * p if r == 1 else i * (i - 1) * p  # (i)_r p
         append(w)
         total += w
         left -= 1
         if not left:
             raise _over_budget(terms, scale)
         k += 1
-        i += 1
+        ff += dff
+        dff += ddff
         p *= rho  # p_k = p_{k-1} x / k
     reach = k - anchor
 
-    # Down from the anchor, when it sits above P+r (and so is the start).
-    # If the terms fall under the floor first, the last majorant covers them.
-    # w is the weighted term at k, to start with the first one summed above.
-    k, i = anchor, anchor - production
-    w = i * p_start if r == 1 else i * (i - 1) * p_start
+    # Down from the anchor, when it sits above P+r (and so is the start),
+    # by p_{k-1} = p_k k / x.  w is the weighted term at k, to start with the
+    # first one summed above, and v the one at k - 1.  The majorant of the
+    # terms below k, w s / (1 - s), is at least w s, and w s is v to a few
+    # roundings.  With e = (i)_r p_k ((i-r)/i) (k/x), the exact weighted
+    # term at k - 1, the majorant is at least e (1 - u)^6 (the weight, w,
+    # the three of s and w s; dividing by 1 - s <= 1 only raises it) and v
+    # at most e (1 + u)^4 (the weight, the step's two and v), at unit
+    # roundoff u.  That holds while all of them are normal, as they are
+    # wherever v * _DOWN_MARGIN passes the unit roundoff of a sum that holds
+    # the modal term.  So the majorant is at least v _DOWN_MARGIN = v (1 -
+    # 16 u): while that is above the unit roundoff of the sum the walk
+    # cannot stop, and the majorant is formed only once it is not.  If the
+    # terms fall under the floor first, the majorant at k covers them.  The
+    # walk ends at k = P+r at the latest, where the weight below, and so the
+    # majorant, is 0; where the anchor sits below P+r it takes no step, and
+    # k >= anchor from the upward walk leaves the reach as it is.
+    i, p = anchor - production, p_start
+    ff, dff, ddff = (i, 1, 0) if r == 1 else (i * (i - 1), 2 * i - 2, 2)  # (i)_r - (i-1)_r
+    w = ff * p
     down_tail = 0.0
-    for q in _descend(x, anchor, p_start, anchor, first):
-        s = (i - r) / i * k / x
-        down_tail = w * s / (1.0 - s)
-        if down_tail <= _UNIT_ROUNDOFF * total:
-            break
-        k, i = k - 1, i - 1
-        w = i * q if r == 1 else i * (i - 1) * q
+    for k in range(anchor, first - 1, -1):
+        p *= k / x
+        ff -= dff
+        dff -= ddff
+        v = ff * p
+        if p < UNDERFLOW_FLOOR or v * _DOWN_MARGIN <= _UNIT_ROUNDOFF * total:
+            i = k - production
+            s = (i - r) / i * k / x
+            down_tail = w * s / (1.0 - s)
+            if p < UNDERFLOW_FLOOR or down_tail <= _UNIT_ROUNDOFF * total:
+                break
+        w = v
         append(w)
         total += w
         left -= 1
         if not left:
             raise _over_budget(terms, scale)
-    if k == first:
-        down_tail = 0.0
     reach = max(reach, anchor - k)
 
     value = math.fsum(terms)
@@ -514,8 +547,8 @@ def nfold_exponential_convolution(lam: float, n: int, t: float, grid_step: float
     check_int(n, "fold count", 2, 8)
     t = check_positive(t, "time")
     x = check_nonnegative(lam * t, "lambda*t")
-    grid_step = float(grid_step)
-    if not (0.0 < grid_step <= t / 100.0):
+    grid_step = check_positive(grid_step, "grid step")
+    if not grid_step <= t / 100.0:
         raise DomainError(f"grid step must lie in (0, t/100], got {grid_step!r}")
     m = round(t / grid_step)
     if m + 1 > _MAX_ARRAY:

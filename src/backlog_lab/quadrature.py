@@ -44,10 +44,13 @@ def adaptive_simpson(
     at _MAX_DEPTH bisections, or if the panels would take more than
     _MAX_EVALS evaluations of f.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or b < a:
-        raise DomainError(f"bad integration interval [{a!r}, {b!r}]")
+    try:
+        finite = math.isfinite(a) and math.isfinite(b)
+    except OverflowError:  # an int past the largest double
+        finite = False
+    if not finite or b < a:
+        raise DomainError(f"integration interval must be finite with a <= b, got [{a!r}, {b!r}]")
+    a, b = float(a), float(b)
     abs_tol = check_positive(abs_tol, "absolute tolerance")
     if a == b:
         return 0.0, 0.0, 0
@@ -59,7 +62,7 @@ def adaptive_simpson(
         n_evals += 1
         return f(t)
 
-    cuts = sorted({a, b} | {float(k) for k in knots if a < float(k) < b})
+    cuts = sorted({a, b} | {float(k) for k in knots if a < k < b})
     values = {t: eval_f(t) for t in cuts}
     width = b - a
 

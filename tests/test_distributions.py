@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backlog_lab import distributions
 from backlog_lab.adjudicator import SweepGrid
 from backlog_lab.closed_forms import expected_backlog
 from backlog_lab.distributions import (
@@ -25,6 +26,8 @@ from backlog_lab.distributions import (
     poisson_term,
 )
 from backlog_lab.errors import AccuracyError, DomainError, check_nonnegative
+from backlog_lab.laplace import invert_gaver_stehfest
+from backlog_lab.oracles import nfold_exponential_convolution
 from backlog_lab.quadrature import adaptive_simpson
 
 # The benchmark's mpmath references (50 digits), which import nothing
@@ -124,11 +127,21 @@ class TestArgumentChecks:
         lambda: erlang_cdf(1.0, 2, 10**400),
         lambda: expected_backlog(ModelParams(1.0, 1), 10**400),
         lambda: SweepGrid((10**400,), (1,), (1.0,)),
-    ], ids=["ModelParams", "poisson_term", "erlang_cdf", "expected_backlog", "SweepGrid"])
+        lambda: invert_gaver_stehfest(lambda s: 1 / s, 10**400),
+        lambda: adaptive_simpson(lambda t: 1.0, 0.0, 10**400, 1e-9),
+        lambda: adaptive_simpson(lambda t: 1.0, -10**400, 0.0, 1e-9),
+        lambda: nfold_exponential_convolution(1.0, 2, 1.0, 10**400),
+    ], ids=["ModelParams", "poisson_term", "erlang_cdf", "expected_backlog", "SweepGrid",
+            "invert_gaver_stehfest", "adaptive_simpson-b", "adaptive_simpson-a", "nfold_exponential_convolution"])
     def test_int_too_large_for_a_float_is_a_domain_error(self, call):
         # Each raised OverflowError from float() before the check could.
         with pytest.raises(DomainError, match="finite"):
             call()
+
+    def test_knot_too_large_for_a_float_lies_outside_the_interval(self):
+        # It raised OverflowError; like any knot outside (a, b) it is ignored.
+        plain = adaptive_simpson(math.exp, 0.0, 1.0, 1e-9)
+        assert adaptive_simpson(math.exp, 0.0, 1.0, 1e-9, knots=(10**400,)) == plain
 
     def test_negative_zero_is_zero(self):
         value = check_nonnegative(-0.0, "time")
@@ -461,3 +474,70 @@ class TestShortSide:
         # No index that large becomes a float: past the switch the lower
         # window's log term raised OverflowError here.
         assert erlang_cdf(1.0, 10**400, t) == 0.0
+
+
+class TestNearReach:
+    """A long short-side window is summed only to its near reach where a
+    certificate shows that the rest cannot move the rounded sum, and walked
+    in full where it does not: the full window's bits either way."""
+
+    @staticmethod
+    def _calls():
+        rng = random.Random(26)
+        points = [(1e-300, 1.0)]  # p_2 already under the floor: the walk ends first
+        for _ in range(200):
+            x = 10.0 ** rng.uniform(-3.0, 5.0)
+            lam = 10.0 ** rng.uniform(-1.0, 1.0)
+            points.append((lam, x / lam))
+        for lam, t in points:
+            x = lam * t
+            ks = {1, int(x / 2) + 1, int(2 * x) + 1}
+            ks |= {max(round(x + c * math.sqrt(x)), 1) for c in (-10, -3, -1, 1, 3, 10)}
+            for k in sorted(ks):
+                yield expected_backlog, (ModelParams(lam, k), t)
+                yield erlang_cdf, (lam, k, t)
+
+    def _run(self, monkeypatch, stop_log):
+        """Each call's hex, with _STOP_LOG at stop_log, and the number of
+        calls that tried a certificate and kept the near sum or walked on."""
+        events, hexes = [], []
+        window, rest_bound = distributions._poisson_window, distributions._rest_bound
+
+        def spy_window(*args):
+            events.append("walk")
+            return window(*args)
+
+        def spy_bound(*args):
+            events.append("bound")
+            return rest_bound(*args)
+
+        certified = walked_on = 0
+        with monkeypatch.context() as m:
+            m.setattr(distributions, "_STOP_LOG", stop_log)
+            m.setattr(distributions, "_poisson_window", spy_window)
+            m.setattr(distributions, "_rest_bound", spy_bound)
+            for f, args in self._calls():
+                events.clear()
+                hexes.append(f(*args).hex())
+                if "bound" in events:
+                    certified += events.count("walk") == 1
+                    walked_on += events.count("walk") == 2
+        return hexes, certified, walked_on
+
+    def test_same_bits_as_the_full_window(self, monkeypatch):
+        # A near reach past every window walks each one in full.
+        full, certified, _ = self._run(monkeypatch, 1e30)
+        assert certified == 0 and len(full) > 2000
+        hexes, certified, _ = self._run(monkeypatch, distributions._STOP_LOG)
+        assert hexes == full
+        assert certified > 1000
+
+    @pytest.mark.parametrize("stop_log, least_certified", [(0.02, 0), (8.0, 200)])
+    def test_a_failed_certificate_walks_the_full_window(self, monkeypatch, stop_log, least_certified):
+        # A near reach of a few terms, or of four standard deviations: most
+        # certificates fail, and those calls must walk on to the full
+        # window's bits, as the others must where the near terms decide.
+        full, _, _ = self._run(monkeypatch, 1e30)
+        hexes, certified, walked_on = self._run(monkeypatch, stop_log)
+        assert hexes == full
+        assert walked_on > 1000 and certified >= least_certified

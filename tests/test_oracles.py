@@ -15,7 +15,7 @@ import pytest
 import backlog_lab.oracles
 from backlog_lab.adjudicator import default_grid
 from backlog_lab.closed_forms import CandidateFormula, cumulative_expected_backlog, expected_backlog
-from backlog_lab.distributions import ModelParams, erlang_density, poisson_term
+from backlog_lab.distributions import UNDERFLOW_FLOOR, ModelParams, erlang_density, poisson_term
 from backlog_lab.errors import AccuracyError, DomainError, ResourceLimitError
 from backlog_lab.oracles import (
     EstimateWithError,
@@ -34,11 +34,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import references  # noqa: E402
 
 
-def _per_term_walk(x, production, r, scale):
+def _lazy_descend(x, k, p, hi, lo):
+    """p_{hi-1}, p_{hi-2}, .., p_lo from p = p_k by p_{n-1} = p_n * n / x,
+    ending before the first term below the floor: a generator, so that the
+    per-term walk below may stop early."""
+    if hi <= lo:
+        return
+    for n in range(k, hi - 1, -1):
+        p *= n / x
+        if p < UNDERFLOW_FLOOR:
+            return
+    yield p
+    for n in range(hi - 1, lo, -1):
+        p *= n / x
+        if p < UNDERFLOW_FLOOR:
+            return
+        yield p
+
+
+def _per_term_walk(x, production, r, scale, _descend=_lazy_descend):
     """_moment_walk with a _weighted_tail call, a math.perm weight and a
     len(terms) budget test per term: the loop that the written-out one must
-    match bit for bit.  Its names are looked up in backlog_lab.oracles (see
-    below), so that a patched _MAX_SERIES_TERMS reaches it too."""
+    match bit for bit.  Its other names are looked up in backlog_lab.oracles
+    (see below), so that a patched _MAX_SERIES_TERMS reaches it too."""
     if x == 0.0:
         return EstimateWithError(0.0, 0.0, 0)
     first = production + r  # lowest index with a non-zero weight
@@ -120,7 +138,9 @@ def _per_term_walk(x, production, r, scale):
     return EstimateWithError(value / scale, bound, len(terms))
 
 
-_per_term_walk = types.FunctionType(_per_term_walk.__code__, vars(backlog_lab.oracles))
+_per_term_walk = types.FunctionType(
+    _per_term_walk.__code__, vars(backlog_lab.oracles), None, _per_term_walk.__defaults__
+)
 
 
 def _walk_outcome(walk, *args):
