@@ -7,29 +7,34 @@ factorials appear nowhere: terms are generated by the one-step recurrence
     p_0 = e^{-x},    p_n = p_{n-1} * x / n,
 
 anchored at n = 0 when e^{-x} is representable and at the modal index
-otherwise.  One kernel, _poisson_window, walks each block of terms out of
-that anchor once, after _cutoff_range has found where the block meets the
-cutoff window, and returns only its non-zero terms; poisson_term is a
-block of one, and the closed forms sum a block from index 0 with _fsum; a
-block with no index is empty.  erlang_cdf and expected_backlog sum their
-Poisson tail on its short side, which one helper, _short_tail, picks and
-sums: the block below n where n <= lambda*t, and the block from n up to
-the cutoff where n > lambda*t.  There the lower block is the long side,
-and its complement 1 - sum, or lambda*t - P + sum, cancels to a rounding
-residue of the larger part; the upper block is short and keeps its
-digits.  Every term is the same product, formed in the same order,
-whichever block it is computed in, so neighbouring terms are consistent
-to machine precision, which the rest of the package relies on.  Where the
-modal anchor has no correct digit (above lambda*t of about 2e13) a block
-that reaches the cutoff window raises AccuracyError instead of a value.
+otherwise.  _anchor alone picks that index and its relative error, for
+every walk of the package (the series oracles' too), and alone refuses an
+anchor with no correct digit.  One kernel, _poisson_window, forms the
+anchor's term and walks each block of terms out of it once, after
+_cutoff_range has found where the block meets the cutoff window, and
+returns only its non-zero terms; poisson_term is a block of one, and the
+closed forms sum a block from index 0 with _fsum; a block with no index
+is empty.  erlang_cdf and expected_backlog sum their Poisson tail on its
+short side, which one helper, _short_tail, picks and sums: the block
+below n where n <= lambda*t, and the block from n up to the cutoff where
+n > lambda*t.  There the lower block is the long side, and its complement
+1 - sum, or lambda*t - P + sum, cancels to a rounding residue of the
+larger part; the upper block is short and keeps its digits.  Every term
+is the same product, formed in the same order, whichever block it is
+computed in, so neighbouring terms are consistent to machine precision,
+which the rest of the package relies on.  Where the modal anchor has no
+correct digit (above lambda*t of about 2e13) a block that reaches the
+cutoff window raises AccuracyError instead of a value.
 
 A short side's window is walked only as far as its rounded sum needs.
 Once the window is known to be longer than a near reach of about
 sqrt(100 x) terms from n, _short_tail sums that reach alone and bounds the
-rest by a geometric majorant delta; where fsum(kept) == fsum(kept +
-[delta]), the full window's sum rounds to the same double and is not
-walked (1,771 of its 6,393 terms at lambda*t = 30182.4, P = 30182).
-Otherwise the full window is walked, so no bit depends on the stop.
+rest by a geometric majorant delta, formed by _weighted_tail, the one
+closed form of sum_j (i+j)_r rho^j that the series oracles stop on too.
+Where fsum(kept) == fsum(kept + [delta]), the full window's sum rounds to
+the same double and is not walked (1,771 of its 6,393 terms at lambda*t =
+30182.4, P = 30182).  Otherwise the full window is walked, so no bit
+depends on the stop.
 
 _fsum hands a long list of non-negative terms to math.fsum largest first.
 fsum rounds the exact sum correctly, so the order never changes a bit,
@@ -114,15 +119,24 @@ def _log_term(x: float, n: int) -> float:
     return n * math.log(x) - x - math.lgamma(n + 1)
 
 
-def _anchor_error(x: float, anchor: int) -> float:
-    """Relative error of the modal anchor exp(_log_term(x, anchor)).
+def _anchor(x: float) -> tuple[int, float]:
+    """(m, error): the index every Poisson walk at x = lambda*t starts from, and p_m's relative error.
 
-    ln p = m ln x - x - lgamma(m+1) cancels terms of up to this size
-    (lgamma(m+1) <= m ln x); each is good to a few ulps of itself, 2.4 at
-    worst against mpmath up to lambda*t = 1e7.  At 1 or more the anchor
-    has no correct digit, from lambda*t of about 2e13.
+    Up to the switch m is 0 and p_0 = e^{-x} is exact to rounding: error
+    0.  Above it m is the mode, floor(x), and p_m = exp(_log_term(x, m)),
+    whose ln p = m ln x - x - lgamma(m+1) cancels terms of up to m ln x +
+    x (lgamma(m+1) <= m ln x); each is good to a few ulps of itself, 2.4
+    at worst against mpmath up to lambda*t = 1e7, which 4 eps (2 m ln x +
+    x) covers.  At 1 or more, from lambda*t of about 2e13, the anchor has
+    no correct digit and AccuracyError is raised.
     """
-    return 4.0 * _EPS * (2.0 * anchor * math.log(x) + x)
+    if x <= _ANCHOR_SWITCH:
+        return 0, 0.0
+    m = int(x)
+    error = 4.0 * _EPS * (2.0 * m * math.log(x) + x)
+    if not error < 1.0:
+        raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
+    return m, error
 
 
 def _fsum(terms: list) -> float:
@@ -197,18 +211,18 @@ def _cutoff_range(x: float, lo: int, hi: int) -> tuple[int, int]:
             return lo, lo
         return lo, hi
 
-    anchor = int(x)
+    mode = int(x)
     first, last = lo, hi - 1
     # Where an end of [lo, hi) falls under the cutoff, bisection counts the
     # indices from `inner` towards it that still clear.
-    if first < anchor and _log_term(x, first) < _LOG_CUTOFF:
-        inner = min(last, anchor)
+    if first < mode and _log_term(x, first) < _LOG_CUTOFF:
+        inner = min(last, mode)
         if inner == first or _log_term(x, inner) < _LOG_CUTOFF:
             return lo, lo
         below = lambda d: _log_term(x, inner - 1 - d) < _LOG_CUTOFF  # noqa: E731
         first = inner - bisect_left(range(inner - first), True, key=below)
-    if last > anchor and _log_term(x, last) < _LOG_CUTOFF:
-        inner = max(first, anchor)
+    if last > mode and _log_term(x, last) < _LOG_CUTOFF:
+        inner = max(first, mode)
         if inner == last or _log_term(x, inner) < _LOG_CUTOFF:
             return lo, lo
         below = lambda d: _log_term(x, inner + 1 + d) < _LOG_CUTOFF  # noqa: E731
@@ -224,20 +238,18 @@ def _poisson_window(x: float, lo: int, hi: int) -> tuple[int, list[float]]:
     non-zero term with its index.  The walk covers only the indices that
     _cutoff_range keeps; indices outside them are 0.0 without a walk.  It
     starts from the anchor, p_0 = e^{-x} up to the switch and the modal
-    term above it, and forms the same products in the same order as a walk
-    from the anchor to each index on its own, so every term keeps its bits.
-    A block that reaches the cutoff window where the anchor has no correct
-    digit (_anchor_error of 1 or more) raises AccuracyError.  A range with
-    lo >= hi holds no index and returns (lo, []).
+    term above it, as _anchor picks it, and forms the same products in the
+    same order as a walk from the anchor to each index on its own, so every
+    term keeps its bits.  The anchor's term exp(_log_term(x, m)) is formed
+    here and nowhere else (at m = 0 it is exp(-x)).  A block that reaches
+    the cutoff window where the anchor has no correct digit raises
+    _anchor's AccuracyError.  A range with lo >= hi holds no index and
+    returns (lo, []).
     """
     first, end = _cutoff_range(x, lo, hi)
     if first >= end:
         return lo, []
-    if x <= _ANCHOR_SWITCH:
-        return first, _walk_up(x, 0, math.exp(-x), first, end)
-    anchor = int(x)
-    if not _anchor_error(x, anchor) < 1.0:
-        raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
+    anchor, _ = _anchor(x)
     p = math.exp(_log_term(x, anchor))
     if first >= anchor:
         return first, _walk_up(x, anchor, p, first, end)
@@ -310,17 +322,34 @@ def _rest_bound(x: float, k: int, r: int, above: bool, near: int, terms: list[fl
     from the mode, and its two roundings (and, below the switch, those of
     the upward walk read backwards) fit in the 4 eps margin.  So the
     weighted rest is at most p_m sum_{j>=1} (a+j)^r sigma^j =
-    p_m g (a + 1 + g)^r with g = sigma / (1 - sigma), charged twice over
-    for the roundings of the weights and of this bound.  That holds while
-    the terms are normal; a subnormal one may stop shrinking (one step then
-    moves it by less than half an ulp), so every term of the window is also
-    charged the smallest normal at the window's largest weight, length^r.
-    inf where sigma >= 1.
+    p_m sigma _weighted_tail(a + 1, r, sigma), as (a+j)^r is the falling
+    factorial (a+j)_r at r <= 1, charged twice over for the roundings of
+    the weights and of this bound.  That holds while the terms are normal;
+    a subnormal one may stop shrinking (one step then moves it by less
+    than half an ulp), so every term of the window is also charged the
+    smallest normal at the window's largest weight, length^r.  inf where
+    sigma >= 1.
     """
     m, p_m = (k + near - 1, terms[-1]) if above else (k - near, terms[0])
     sigma = (x / (m + 1) if above else m / x) * (1.0 + 4 * _EPS)
-    g = sigma / (1.0 - sigma) if sigma < 1.0 else math.inf
-    return 2.0 * (p_m * g * (abs(m - k) + 1 + g) ** r + length ** (r + 1) * _SMALLEST_NORMAL)
+    rest = p_m * sigma * _weighted_tail(abs(m - k) + 1, r, sigma) if sigma < 1.0 else math.inf
+    return 2.0 * (rest + length ** (r + 1) * _SMALLEST_NORMAL)
+
+
+def _weighted_tail(i: int, r: int, rho: float) -> float:
+    """sum_{j>=0} (i+j)_r rho^j, in closed form, for r = 0, 1 or 2 and 0 <= rho < 1.
+
+    (i)_r is the falling factorial i (i-1) .. (i-r+1), 1 at r = 0.  Where
+    the terms past p_k shrink by at most rho a step, p_{k+j} <= p_k rho^j,
+    the weighted tail from k on is at most p_k times this: the majorant of
+    the series oracles' upward walk and of _rest_bound's rest.
+    """
+    d = 1.0 - rho
+    if r == 0:
+        return 1.0 / d
+    if r == 1:
+        return i / d + rho / (d * d)
+    return i * (i - 1) / d + 2.0 * i * rho / (d * d) + 2.0 * rho * rho / (d * d * d)
 
 
 def poisson_term(lambda_t: float, n: int) -> float:

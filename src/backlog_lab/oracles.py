@@ -33,13 +33,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .distributions import (
-    _ANCHOR_SWITCH,
     _EPS,
     _SMALLEST_NORMAL,
     UNDERFLOW_FLOOR,
     ModelParams,
-    _anchor_error,
+    _anchor,
     _log_term,
+    _weighted_tail,
     poisson_term,
 )
 from .errors import (
@@ -72,9 +72,8 @@ _MAX_SERIES_TERMS = 10_000_000
 # exp(-(k-x)^2 / (2x + 2(k-x)/3)) above it, such k lie within sqrt(2Lx)
 # below x and 2L/3 + sqrt(2Lx) above it: at most 7.6 million indices at
 # x = 1e10, short of the budget.  Below this lambda*t the bound cannot
-# refuse and the lgamma anchor keeps its digits (its error is 4.2e-4
-# at 1e10), so _moment_walk skips both refusals there, which is always
-# safe: the walk keeps the budget itself.
+# refuse, so _moment_walk skips it there, which is always safe: the walk
+# keeps the budget itself.
 _REFUSAL_GATE = 1e10
 
 _UNIT_ROUNDOFF = 0.5 * _EPS
@@ -120,7 +119,8 @@ def backlog_series_oracle(params: ModelParams, t: float) -> EstimateWithError:
     The value is summed to rounding.  Its bound is the walk's two tail
     majorants plus a rounding charge for terms at most K recurrence steps
     from the anchor: above the switch the worst case (2K + 8) eps value and
-    the error of the lgamma anchor; below it 3 sqrt(K+1) eps value, a
+    the error of the lgamma anchor, as distributions._anchor gives it; below
+    it (where that anchor is p_0, error 0) 3 sqrt(K+1) eps value, a
     random-walk model of the K roundings, about 2.5 times the largest error
     seen in sweeps below the switch.  The worst case would exceed the 1e-12
     that acceptance criterion 1 holds the bound to at lambda*t = 100, so
@@ -156,56 +156,54 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
 
     (i)_r is the falling factorial i (i-1) .. (i-r+1), so the sum is the
     r-th factorial moment of (N-P)^+.  The terms ride the one-step
-    recurrence from the anchor of poisson_term: p_0 = e^{-x} up to the 700
-    switch, and beyond it the modal term (through lgamma), from which they
-    are walked both down to P+r and up, after Fox and Glynn (1988),
-    "Computing Poisson probabilities", CACM 31(4).  The upward walk starts
-    at max(anchor, P+r), as poisson_term forms that term; below P+r the
-    weights are zero.  No term of non-zero weight is skipped.  The weighted
-    terms, upward first, then downward, are kept and summed once by
-    math.fsum, which rounds their exact sum correctly (Shewchuk 1997,
-    Discrete Comput. Geom. 18); a plain running sum serves the stop tests.
+    recurrence from distributions._anchor, the anchor of every Poisson walk
+    of the package: p_0 = e^{-x} up to the 700 switch, and beyond it the
+    modal term (through lgamma), from which they are walked both down to
+    P+r and up, after Fox and Glynn (1988), "Computing Poisson
+    probabilities", CACM 31(4).  The upward walk starts at max(anchor,
+    P+r), with that term from poisson_term, as every closed form forms it;
+    below P+r the weights are zero.  No term of non-zero weight is skipped.
+    The weighted terms, upward first, then downward, are kept and summed
+    once by math.fsum, which rounds their exact sum correctly (Shewchuk
+    1997, Discrete Comput. Geom. 18); a plain running sum serves the stop
+    tests.
 
     Past the mode, p_j <= p_k rho^{j-k} for j >= k with rho = x/(k+1), so
     the weighted tail from k on is at most p_k sum_j (k-P+j)_r rho^j, in
-    closed form.  Below the mode the summand ratio ((i-r)/i) k/x, i = k-P,
-    on the way down is below 1 and falls with k: a geometric majorant for
-    the terms left below.  Each walk stops once its majorant is below the
-    unit roundoff times the running sum, and the upward one also at a term
-    under the smallest normal, where the tail is charged at that term's
-    own bound if it is smaller.  The bound adds both majorants and a
-    rounding charge for terms at most K recurrence steps from the anchor:
-    (2K + 8) eps times the sum, except 3 sqrt(K+1) eps for r = 1 below the
-    switch (see backlog_series_oracle), and above the switch the error of
-    the lgamma anchor.  Raises AccuracyError at _MAX_SERIES_TERMS terms,
-    and above _REFUSAL_GATE before any term where the anchor has no
-    correct digit or the walk provably needs that many.
+    closed form by distributions._weighted_tail, which also bounds the
+    closed forms' rest past their near reach.  Below the mode the summand
+    ratio ((i-r)/i) k/x, i = k-P, on the way down is below 1 and falls with
+    k: a geometric majorant for the terms left below.  Each walk stops once
+    its majorant is below the unit roundoff times the running sum, and the
+    upward one also at a term under the smallest normal, where the tail is
+    charged at that term's own bound if it is smaller.  The bound adds both
+    majorants and a rounding charge for terms at most K recurrence steps
+    from the anchor: (2K + 8) eps times the sum, except 3 sqrt(K+1) eps for
+    r = 1 below the switch (see backlog_series_oracle), and above the
+    switch the error of the lgamma anchor.  Raises AccuracyError before any
+    term where the anchor has no correct digit (_anchor's refusal) and,
+    above _REFUSAL_GATE, where the walk provably needs _MAX_SERIES_TERMS
+    terms; and at that many terms.
 
     Both loops walk inline and keep (i)_r as an exact int, updated by its
     differences; the upward step reuses rho, and the budget counts down.
     Each loop tests the weighted term before its majorant: the majorant is
     never below that term (upwards) or below the next one less 16 unit
     roundoffs (downwards), so while that term is above the unit roundoff of
-    the sum the walk cannot stop, and the majorant, written out in place of
-    a _weighted_tail call, is formed only once it could.  The products and
-    their order are those of a walk that forms every majorant, so every bit
-    is the same, in about 70% of the time at lambda*t = 3e4, P = 0.
+    the sum the walk cannot stop, and the majorant is formed only once it
+    could.  The products and their order are those of a walk that forms
+    every majorant, so every bit is the same, in about 70% of the time at
+    lambda*t = 3e4, P = 0.
     """
     if x == 0.0:
         return EstimateWithError(0.0, 0.0, 0)
     first = production + r  # lowest index with a non-zero weight
-    anchor, anchor_err = 0, 0.0
-    if x > _ANCHOR_SWITCH:
-        anchor = int(x)
-        anchor_err = _anchor_error(x, anchor)
+    anchor, anchor_err = _anchor(x)
     # A margin on _log_term(x, k) as a bound on ln p_k, for its own
     # rounding and the anchor's error.
     slack = 1.0 + 2.0 * anchor_err
-    if x > _REFUSAL_GATE:
-        if not anchor_err < 1.0:
-            raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
-        if _fewest_terms(x, production, r, anchor, slack) >= _MAX_SERIES_TERMS:
-            raise AccuracyError(f"series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms")
+    if x > _REFUSAL_GATE and _fewest_terms(x, production, r, anchor, slack) >= _MAX_SERIES_TERMS:
+        raise AccuracyError(f"series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms")
     start = max(anchor, first)
     p_start = poisson_term(x, start)
 
@@ -243,12 +241,7 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
                     log_tail = log_p + math.log(weight) - math.log(scale)
                     floor_tail = max(math.exp(log_tail), math.ulp(0.0))
                 break
-            # p * _weighted_tail(i, r, rho), written out.
-            d = 1.0 - rho
-            if r == 1:
-                up_tail = p * (i / d + rho / (d * d))
-            else:
-                up_tail = p * (i * (i - 1) / d + 2.0 * i * rho / (d * d) + 2.0 * rho * rho / (d * d * d))
+            up_tail = p * _weighted_tail(i, r, rho)
             if up_tail <= _UNIT_ROUNDOFF * total:
                 break
         append(w)
@@ -303,7 +296,7 @@ def _moment_walk(x: float, production: int, r: int, scale: float) -> EstimateWit
     reach = max(reach, anchor - k)
 
     value = math.fsum(terms)
-    if r == 1 and x <= _ANCHOR_SWITCH:
+    if r == 1 and anchor == 0:
         rounding = 3.0 * math.sqrt(reach + 1) * _EPS * value
     else:
         rounding = (2 * reach + 8) * _EPS * value
@@ -317,14 +310,6 @@ def _over_budget(terms: array, scale: float) -> AccuracyError:
         f"series did not converge within {_MAX_SERIES_TERMS} terms",
         best_estimate=math.fsum(terms) / scale,
     )
-
-
-def _weighted_tail(i: int, r: int, rho: float) -> float:
-    """sum_{j>=0} (i+j)_r rho^j, in closed form, for r = 1 or 2 and 0 <= rho < 1."""
-    d = 1.0 - rho
-    if r == 1:
-        return i / d + rho / (d * d)
-    return i * (i - 1) / d + 2.0 * i * rho / (d * d) + 2.0 * rho * rho / (d * d * d)
 
 
 def _fewest_terms(x: float, production: int, r: int, anchor: int, slack: float) -> int:

@@ -13,12 +13,11 @@ from backlog_lab import distributions
 from backlog_lab.adjudicator import SweepGrid
 from backlog_lab.closed_forms import expected_backlog
 from backlog_lab.distributions import (
-    _ANCHOR_SWITCH,
     _LOG_CUTOFF,
     MAX_PRODUCTION,
     UNDERFLOW_FLOOR,
     ModelParams,
-    _anchor_error,
+    _anchor,
     _log_term,
     _poisson_window,
     erlang_cdf,
@@ -452,7 +451,7 @@ class TestShortSide:
         # returns a rounding residue of 1 where the truth is tiny.
         checked = 0
         for x, k in self._points():
-            rel = (_anchor_error(x, int(x)) if x > _ANCHOR_SWITCH else 0.0) + 1e-14
+            rel = _anchor(x)[1] + 1e-14
             backlog = expected_backlog(ModelParams(x, k), 1.0)
             assert backlog >= 0.0, (x, k, backlog)
             for value, truth in (
@@ -541,3 +540,30 @@ class TestNearReach:
         hexes, certified, walked_on = self._run(monkeypatch, stop_log)
         assert hexes == full
         assert walked_on > 1000 and certified >= least_certified
+
+    def test_rest_bound_covers_the_terms_past_the_near_reach(self, monkeypatch):
+        # delta against the exact sum of what the full window adds past the
+        # near reach, |n-k|^r p_n as the walk forms them, in each long window.
+        bounds = []
+        rest_bound = distributions._rest_bound
+
+        def spy_bound(x, k, r, above, near, terms, length):
+            delta = rest_bound(x, k, r, above, near, terms, length)
+            bounds.append((x, k, r, above, near, delta))
+            return delta
+
+        monkeypatch.setattr(distributions, "_rest_bound", spy_bound)
+        for f, args in self._calls():
+            f(*args)
+        positive = 0
+        for x, k, r, above, near, delta in bounds:
+            if above:
+                lo, hi = k, k + int(1000 + math.sqrt(1480.0 * x)) + 1
+            else:
+                lo, hi = 0, k
+            start, terms = _poisson_window(x, *distributions._cutoff_range(x, lo, hi))
+            past = range(k + near, hi) if above else range(0, k - near)
+            rest = math.fsum(abs(n - k) ** r * p for n, p in enumerate(terms, start) if n in past)
+            assert rest <= delta, (x, k, r, above, rest, delta)
+            positive += rest > 0.0
+        assert len(bounds) > 1500 and positive > 1500

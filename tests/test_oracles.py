@@ -60,18 +60,12 @@ def _per_term_walk(x, production, r, scale, _descend=_lazy_descend):
     if x == 0.0:
         return EstimateWithError(0.0, 0.0, 0)
     first = production + r  # lowest index with a non-zero weight
-    anchor, anchor_err = 0, 0.0
-    if x > _ANCHOR_SWITCH:
-        anchor = int(x)
-        anchor_err = _anchor_error(x, anchor)
+    anchor, anchor_err = _anchor(x)
     # A margin on _log_term(x, k) as a bound on ln p_k, for its own
     # rounding and the anchor's error.
     slack = 1.0 + 2.0 * anchor_err
-    if x > _REFUSAL_GATE:
-        if not anchor_err < 1.0:
-            raise AccuracyError(f"the modal anchor at lambda*t = {x:g} has no correct digit")
-        if _fewest_terms(x, production, r, anchor, slack) >= _MAX_SERIES_TERMS:
-            raise AccuracyError(f"series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms")
+    if x > _REFUSAL_GATE and _fewest_terms(x, production, r, anchor, slack) >= _MAX_SERIES_TERMS:
+        raise AccuracyError(f"series at lambda*t = {x:g} needs more than {_MAX_SERIES_TERMS} terms")
     start = max(anchor, first)
     p_start = poisson_term(x, start)
 
@@ -130,7 +124,7 @@ def _per_term_walk(x, production, r, scale, _descend=_lazy_descend):
     reach = max(reach, anchor - k)
 
     value = math.fsum(terms)
-    if r == 1 and x <= _ANCHOR_SWITCH:
+    if r == 1 and anchor == 0:
         rounding = 3.0 * math.sqrt(reach + 1) * _EPS * value
     else:
         rounding = (2 * reach + 8) * _EPS * value
